@@ -88,9 +88,60 @@ def _undelta(delta: np.ndarray) -> bytes:
     return np.cumsum(delta, dtype=np.uint8).tobytes()
 
 
+def _ranks(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group and rank of each item, when group ``k`` holds ``counts[k]``."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    return group, np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
+
+
 # ----------------------------------------------------------------------
 # rle8: delta + PackBits
 # ----------------------------------------------------------------------
+
+
+#: Piece kinds, marked at each piece's first byte by :func:`_rle8_pieces`.
+_LITERAL, _RUN = 1, 2
+
+
+def _rle8_pieces(
+    data: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, length and run flag of each piece of a delta stream.
+
+    Pieces are coded apart: a run of three or more equal bytes, the 1-2
+    byte tail such a run leaves past its last 128-byte chunk (a literal
+    of its own), and each maximal stretch of shorter segments (one
+    literal).
+    """
+    n = len(data)
+    seg_start = np.flatnonzero(
+        np.concatenate(([True], data[1:] != data[:-1]))
+    )
+    seg_len = np.diff(seg_start, append=n)
+    is_run = seg_len >= 3
+    kind = np.zeros(n, np.uint8)
+    after_run = np.concatenate(([True], is_run[:-1]))
+    kind[seg_start[~is_run & after_run]] = _LITERAL
+    run_start, run_len = seg_start[is_run], seg_len[is_run]
+    kind[run_start] = _RUN
+    tail = run_len % 128
+    kind[(run_start + run_len - tail)[(tail > 0) & (tail < 3)]] = _LITERAL
+    heads = np.flatnonzero(kind)
+    return heads, np.diff(heads, append=n), kind[heads] == _RUN
+
+
+def _rle8_chunks(
+    data: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, length and run flag of each chunk of at most 128 bytes.
+
+    A piece splits into 128-byte chunks, its last chunk the shortest.
+    """
+    heads, piece_len, piece_run = _rle8_pieces(data)
+    piece, rank = _ranks((piece_len + 127) // 128)
+    skip = rank * 128
+    chunk_len = np.minimum(piece_len[piece] - skip, 128)
+    return heads[piece] + skip, chunk_len, piece_run[piece]
 
 
 def rle8_encode(raw: bytes) -> bytes:
@@ -98,90 +149,71 @@ def rle8_encode(raw: bytes) -> bytes:
     if not raw:
         return b""
     data = _delta(raw)
-    n = len(data)
-    boundaries = np.flatnonzero(data[1:] != data[:-1]) + 1
-    starts = np.concatenate(([0], boundaries)).tolist()
-    ends = np.concatenate((boundaries, [n])).tolist()
-    out = bytearray()
-    literal_start: int | None = None
+    chunk_start, chunk_len, chunk_run = _rle8_chunks(data)
+    # A literal chunk ships its bytes, a run chunk one copy of its value;
+    # each goes out behind its control byte.
+    keep = np.repeat(~chunk_run, chunk_len)
+    keep[chunk_start[chunk_run]] = True
+    control = np.where(chunk_run, 257 - chunk_len, chunk_len - 1)
+    kept = np.where(chunk_run, 1, chunk_len)
+    return np.insert(
+        data[keep], np.cumsum(kept) - kept, control.astype(np.uint8)
+    ).tobytes()
 
-    def flush_literal(lo: int, hi: int) -> None:
-        pos = lo
-        while pos < hi:
-            chunk = min(128, hi - pos)
-            out.append(chunk - 1)
-            out.extend(data[pos : pos + chunk].tobytes())
-            pos += chunk
 
-    for start, end in zip(starts, ends):
-        run = end - start
-        if run >= 3:
-            if literal_start is not None:
-                flush_literal(literal_start, start)
-                literal_start = None
-            value = int(data[start])
-            while run > 0:
-                chunk = min(128, run)
-                if chunk >= 3:
-                    out.append(257 - chunk)
-                    out.append(value)
-                else:
-                    out.append(chunk - 1)
-                    out += bytes([value]) * chunk
-                run -= chunk
-        elif literal_start is None:
-            literal_start = start
-    if literal_start is not None:
-        flush_literal(literal_start, n)
-    return bytes(out)
+# Per control byte: a literal (0-127), the PackBits no-op (128) or a
+# run (129-255).
+#: Payload bytes a control byte spans (itself and its operand bytes).
+_STEP = tuple(c + 2 if c < 128 else 1 if c == 128 else 2 for c in range(256))
+#: Delta bytes a control byte yields.
+_YIELD = np.array(
+    [c + 1 if c < 128 else 0 if c == 128 else 257 - c for c in range(256)],
+    dtype=np.uint8,
+)
 
 
 def rle8_decode(payload: bytes, raw_len: int) -> bytes:
     """Invert :func:`rle8_encode` into exactly ``raw_len`` bytes."""
-    out = bytearray()
-    i, n = 0, len(payload)
+    # Where a control byte sits depends on the control before it, so
+    # this walk is sequential; it touches control bytes only.
+    n = len(payload)
+    step = _STEP  # a local name: this is the hot loop
+    marks = bytearray(n)
+    i = 0
     while i < n:
-        control = payload[i]
-        i += 1
-        if control < 128:
-            count = control + 1
-            if i + count > n:
-                raise MediaCodecError("rle8 literal truncated")
-            out += payload[i : i + count]
-            i += count
-        elif control == 128:  # no-op byte, per PackBits convention
-            continue
-        else:
-            if i >= n:
-                raise MediaCodecError("rle8 run truncated")
-            out += bytes([payload[i]]) * (257 - control)
-            i += 1
-        if len(out) > raw_len:
-            raise MediaCodecError(
-                f"rle8 stream expands past declared length {raw_len}"
-            )
-    if len(out) != raw_len:
+        marks[i] = 1
+        i += step[payload[i]]
+    src = np.frombuffer(payload, dtype=np.uint8)
+    is_control = np.frombuffer(marks, dtype=np.bool_)
+    controls = src[is_control]
+    yields = _YIELD[controls]
+    produced = int(yields.sum(dtype=np.int64))
+    # A walk that overshot the payload cut its last operand short; an
+    # earlier control that already overran the declared length wins.
+    if i > n and produced - int(yields[-1]) <= raw_len:
+        kind = "literal" if controls[-1] < 128 else "run"
+        raise MediaCodecError(f"rle8 {kind} truncated")
+    if produced > raw_len:
         raise MediaCodecError(
-            f"rle8 stream yields {len(out)} bytes, header says {raw_len}"
+            f"rle8 stream expands past declared length {raw_len}"
         )
-    return _undelta(np.frombuffer(bytes(out), dtype=np.uint8))
+    if produced != raw_len:
+        raise MediaCodecError(
+            f"rle8 stream yields {produced} bytes, header says {raw_len}"
+        )
+    # Each payload byte repeats: a control none, a literal byte once, a
+    # run's value byte (the one behind its control) as often as the run
+    # is long.
+    repeats = (~is_control).view(np.uint8)
+    is_value = np.zeros_like(is_control)
+    is_value[1:] = is_control[:-1] & (src[:-1] > 128)
+    repeats[is_value] = yields[controls > 128]
+    return _undelta(np.repeat(src, repeats))
 
 
 # ----------------------------------------------------------------------
 # dvarint: delta + varint-escaped zero runs
 # ----------------------------------------------------------------------
-
-
-def _varint(value: int) -> bytes:
-    out = bytearray()
-    while True:
-        low = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(low | 0x80)
-        else:
-            out.append(low)
-            return bytes(out)
 
 
 def _read_varint(payload: bytes, i: int) -> tuple[int, int]:
@@ -205,17 +237,27 @@ def dvarint_encode(raw: bytes) -> bytes:
         return b""
     delta = _delta(raw)
     zero = delta == 0
-    boundaries = np.flatnonzero(zero[1:] != zero[:-1]) + 1
-    starts = np.concatenate(([0], boundaries)).tolist()
-    ends = np.concatenate((boundaries, [len(delta)])).tolist()
-    out = bytearray()
-    for start, end in zip(starts, ends):
-        if zero[start]:
-            out.append(0)
-            out += _varint(end - start)
-        else:
-            out += delta[start:end].tobytes()
-    return bytes(out)
+    edge = np.diff(zero.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    run_start = np.flatnonzero(edge == 1)
+    run_len = np.flatnonzero(edge == -1) - run_start
+    # Keep the nonzero deltas and one 0x00 escape at the head of each
+    # zero-run; an escape's index drops by the run bytes cut before it.
+    keep = ~zero
+    keep[run_start] = True
+    cut = run_len - 1
+    escape = run_start - (np.cumsum(cut) - cut)
+    # Each run length as a varint (7 bits a byte, low group first, high
+    # bit set on all but the last), inserted right behind its escape.
+    width = np.ones(len(run_len), dtype=np.int64)
+    rest = run_len >> 7
+    while rest.any():
+        width += rest > 0
+        rest >>= 7
+    run, digit = _ranks(width)
+    varint = ((run_len[run] >> (7 * digit)) & 0x7F).astype(np.uint8)
+    varint[digit < width[run] - 1] |= 0x80
+    behind = np.repeat(escape + 1, width)
+    return np.insert(delta[keep], behind, varint).tobytes()
 
 
 def dvarint_decode(payload: bytes, raw_len: int) -> bytes:

@@ -927,6 +927,11 @@ class CachingArchiver:
         """The write-ahead journal of the wrapped archiver."""
         return self._archiver.journal
 
+    @property
+    def fault_plan(self):
+        """The fault plan of the wrapped archiver (or None)."""
+        return self._archiver.fault_plan
+
     def recover(self, metrics=None) -> RecoveryReport:
         """Recover the wrapped archiver, dropping this wrapper's cache.
 

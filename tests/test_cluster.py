@@ -32,10 +32,12 @@ from repro.errors import (
     QuorumWriteError,
     TransientIOError,
 )
+from repro.faults import FaultPlan
 from repro.ids import IdGenerator
 from repro.scenarios import build_object_library
-from repro.server import Archiver
+from repro.server import Archiver, CachingArchiver
 from repro.server.loadgen import build_schedule
+from repro.storage.cache import LRUCache
 from repro.trace import EventKind
 from tests.fault_workload import make_text_object
 
@@ -175,6 +177,26 @@ class TestClusterNode:
         node = ClusterNode(0)
         with pytest.raises(ClusterError):
             node.serve("store", None)
+
+    def test_caching_archiver_node_takes_the_wrapped_plan(self):
+        plan = FaultPlan()
+        cached = CachingArchiver(Archiver(fault_plan=plan), LRUCache(1 << 20))
+        assert ClusterNode(0, archiver=cached).fault_plan is plan
+
+    def test_caching_archiver_nodes_serve_without_fault_plan(self):
+        nodes = [
+            ClusterNode(
+                i, archiver=CachingArchiver(Archiver(), LRUCache(1 << 20))
+            )
+            for i in range(3)
+        ]
+        assert all(node.fault_plan is None for node in nodes)
+        router = ClusterRouter(nodes, replication=2)
+        obj = make_text_object(IdGenerator("cached"), [["delta"]])
+        router.store(obj)
+        fetched, service = router.fetch_object(obj.object_id)
+        assert fetched.object_id == obj.object_id
+        assert service > 0
 
 
 class TestQuorumWrites:

@@ -145,6 +145,36 @@ class TestCodecs:
         with pytest.raises(MediaCodecError):
             dvarint_decode(dvarint_encode(raw), len(raw) - 1)
 
+    def test_rle8_literal_truncated(self):
+        # Control 5 announces six literal bytes; two follow.
+        with pytest.raises(MediaCodecError, match="literal truncated"):
+            rle8_decode(b"\x05\x01\x02", 6)
+
+    def test_rle8_run_truncated(self):
+        # Control 0xFE announces a run of three; its value byte is gone.
+        with pytest.raises(MediaCodecError, match="run truncated"):
+            rle8_decode(b"\x00\x07\xfe", 4)
+
+    def test_rle8_noop_control_accepted(self):
+        raw = b"\x10" * 40 + bytes(range(30))
+        packed = rle8_encode(raw)
+        assert rle8_decode(b"\x80" + packed + b"\x80", len(raw)) == raw
+
+    def test_rle8_expansion_past_declared_length(self):
+        # A 128-byte run into a 10-byte piece, with a literal behind it.
+        with pytest.raises(MediaCodecError, match="expands past"):
+            rle8_decode(b"\x81\x07\x00\x01", 10)
+
+    def test_dvarint_varint_truncated(self):
+        # Zero escape whose run length has its continuation bit set.
+        with pytest.raises(MediaCodecError, match="truncated"):
+            dvarint_decode(b"\x05\x00\x80", 4)
+
+    def test_dvarint_varint_overflow(self):
+        # Six continuation bytes: a run length longer than 5 varint bytes.
+        with pytest.raises(MediaCodecError, match="overflows"):
+            dvarint_decode(b"\x05\x00" + b"\x80" * 6 + b"\x01", 4)
+
 
 # ----------------------------------------------------------------------
 # frame format
