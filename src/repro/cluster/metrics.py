@@ -1,12 +1,10 @@
-"""Cluster observability: counters, histograms and ``CLUSTER_*`` events.
+"""Cluster observability: counters and histograms.
 
 The scale-out layer is only trustworthy if its failure handling is
 visible: every read records which node served it, every failover and
-hedge is counted, every quorum write records how many replicas acked,
-and every migration records the bytes it moved.  Everything is
-thread-safe and mirrored into a :class:`repro.trace.Trace` as
-``CLUSTER_*`` events, exactly as ``SERVER_*``/``DELIVERY_*`` events
-expose the single-node stack.
+hedge is counted, every quorum write records whether it met its
+quorum, and every migration records the bytes it moved.  Everything
+is thread-safe.
 
 Latencies are in *simulated seconds* (see
 :mod:`repro.server.metrics`), so histograms are deterministic for a
@@ -20,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.server.metrics import Histogram, HistogramSnapshot
-from repro.trace import EventKind, Trace
 
 
 @dataclass(frozen=True)
@@ -62,17 +59,9 @@ class ClusterMetricsSnapshot:
 
 
 class ClusterMetrics:
-    """Thread-safe instrumentation for the cluster router and rebalancer.
+    """Thread-safe instrumentation for the cluster router and rebalancer."""
 
-    Parameters
-    ----------
-    trace:
-        Optional trace to mirror ``CLUSTER_*`` events into (a fresh
-        one is created if omitted).
-    """
-
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self) -> None:
         self.read_latency = Histogram()
         self.quorum_latency = Histogram()
         self._reads = 0
@@ -95,103 +84,55 @@ class ClusterMetrics:
     # read path
     # ------------------------------------------------------------------
 
-    def on_read(
-        self,
-        node_id: int,
-        station: str,
-        latency_s: float,
-        service_s: float,
-        time_s: float,
-    ) -> None:
+    def on_read(self, node_id: int, latency_s: float) -> None:
         """Record one read completed by ``node_id``."""
         self.read_latency.record(latency_s)
         with self._lock:
             self._reads += 1
             self._node_reads[node_id] += 1
-            self.trace.record(
-                time_s, EventKind.CLUSTER_READ, node=node_id, station=station,
-                latency_s=round(latency_s, 6), service_s=round(service_s, 6),
-            )
 
-    def on_read_failed(self, station: str, object_id, time_s: float) -> None:
+    def on_read_failed(self) -> None:
         """Record a read no replica could serve — the count that must
         stay 0 whenever a quorum of replicas is alive."""
         with self._lock:
             self._read_failures += 1
-            self.trace.record(
-                time_s, EventKind.CLUSTER_READ, station=station,
-                object_id=str(object_id), failed=True,
-            )
 
-    def on_failover(
-        self, from_node: int, to_node: int | None, op: str, time_s: float
-    ) -> None:
-        """Record one failover away from ``from_node`` (None = no target)."""
+    def on_failover(self) -> None:
+        """Record one failover away from a replica that could not serve."""
         with self._lock:
             self._failovers += 1
-            self.trace.record(
-                time_s, EventKind.CLUSTER_FAILOVER, from_node=from_node,
-                to_node=to_node, op=op,
-            )
 
-    def on_hedge(self, primary: int, hedge: int, won: bool, time_s: float) -> None:
+    def on_hedge(self, won: bool) -> None:
         """Record one hedged read (``won`` = the hedge finished first)."""
         with self._lock:
             self._hedges += 1
             if won:
                 self._hedge_wins += 1
-            self.trace.record(
-                time_s, EventKind.CLUSTER_HEDGE, primary=primary,
-                hedge=hedge, won=won,
-            )
 
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
 
-    def on_replica_write(self, node_id: int, ok: bool) -> None:
+    def on_replica_write(self, ok: bool) -> None:
         """Record one per-replica write attempt."""
         with self._lock:
             self._replica_writes += 1
             if not ok:
                 self._replica_write_failures += 1
 
-    def on_write(
-        self,
-        object_id,
-        acks: int,
-        replicas: int,
-        quorum_latency_s: float,
-        time_s: float,
-        *,
-        quorum_met: bool,
-    ) -> None:
+    def on_write(self, quorum_latency_s: float, *, quorum_met: bool) -> None:
         """Record one fanned-out store and its quorum outcome."""
         self.quorum_latency.record(quorum_latency_s)
         with self._lock:
             self._writes += 1
             if not quorum_met:
                 self._quorum_failures += 1
-            self.trace.record(
-                time_s, EventKind.CLUSTER_WRITE, object_id=str(object_id),
-                acks=acks, replicas=replicas, quorum_met=quorum_met,
-                quorum_latency_s=round(quorum_latency_s, 6),
-            )
 
     # ------------------------------------------------------------------
     # rebalance + lifecycle
     # ------------------------------------------------------------------
 
-    def on_migrate(
-        self,
-        object_id,
-        source: int,
-        target: int,
-        nbytes: int,
-        time_s: float,
-        *,
-        ok: bool = True,
-    ) -> None:
+    def on_migrate(self, nbytes: int, *, ok: bool = True) -> None:
         """Record one extent migration (or a failed attempt)."""
         with self._lock:
             if ok:
@@ -199,19 +140,11 @@ class ClusterMetrics:
                 self._bytes_migrated += nbytes
             else:
                 self._migration_failures += 1
-            self.trace.record(
-                time_s, EventKind.CLUSTER_MIGRATE, object_id=str(object_id),
-                source=source, target=target, nbytes=nbytes, ok=ok,
-            )
 
-    def on_node_status(self, node_id: int, status: str, time_s: float) -> None:
+    def on_node_status(self, node_id: int, status: str) -> None:
         """Record one node lifecycle transition."""
         with self._lock:
             self._node_status[(node_id, status)] += 1
-            self.trace.record(
-                time_s, EventKind.CLUSTER_NODE_STATUS, node=node_id,
-                status=status,
-            )
 
     def snapshot(self) -> ClusterMetricsSnapshot:
         """A coherent immutable copy of all counters and histograms."""

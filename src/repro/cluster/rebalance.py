@@ -187,7 +187,7 @@ class Rebalancer:
     # membership
     # ------------------------------------------------------------------
 
-    def join(self, node: ClusterNode, *, now_s: float = 0.0) -> int:
+    def join(self, node: ClusterNode) -> int:
         """Admit ``node`` and queue the copies the ring diff demands.
 
         The node serves immediately; until its copies arrive, reads
@@ -196,14 +196,14 @@ class Rebalancer:
         """
         holdings = self._holdings()
         holdings.setdefault(node.node_id, set(node.object_ids()))
-        old = self._router.add_node(node, now_s=now_s)
+        old = self._router.add_node(node)
         steps = plan_migrations(
             old, self._router.placement, holdings,
             source_key=self._source_rank,
         )
         return self._enqueue(steps)
 
-    def leave(self, node_id: int, *, now_s: float = 0.0) -> int:
+    def leave(self, node_id: int) -> int:
         """Start removing ``node_id``; queue the copies that replace it.
 
         The node drains: it stops taking writes but keeps serving
@@ -214,7 +214,7 @@ class Rebalancer:
         node = self._router.node(node_id)
         holdings = self._holdings()
         node.drain()
-        old = self._router.remove_node(node_id, now_s=now_s)
+        old = self._router.remove_node(node_id)
         self._detached[node_id] = node
         steps = plan_migrations(
             old, self._router.placement, holdings,
@@ -250,7 +250,7 @@ class Rebalancer:
         if node is not None:
             node.mark_down()
 
-    def rejoin(self, node_id: int, *, now_s: float = 0.0) -> int:
+    def rejoin(self, node_id: int) -> int:
         """Bring a recovered node back into the ring.
 
         The node must already be UP (call
@@ -265,9 +265,9 @@ class Rebalancer:
             raise ClusterError(
                 f"node {node_id} must recover before rejoining"
             )
-        return self.join(node, now_s=now_s)
+        return self.join(node)
 
-    def crash_detach(self, node_id: int, *, now_s: float = 0.0) -> int:
+    def crash_detach(self, node_id: int) -> int:
         """Take a crashed node out of routing and re-protect its data.
 
         The queued copies restore full replication on the surviving
@@ -277,7 +277,7 @@ class Rebalancer:
         node = self._router.node(node_id)
         holdings = self._holdings()
         holdings.pop(node_id, None)  # a DOWN node sources nothing
-        old = self._router.remove_node(node_id, now_s=now_s)
+        old = self._router.remove_node(node_id)
         self._detached[node_id] = node
         steps = plan_migrations(
             old, self._router.placement, holdings,
@@ -403,10 +403,7 @@ class Rebalancer:
                     obj, _ = source.serve("fetch_object", step.object_id)
                     record = target.receive_migration(obj)
             except STEP_RETRY_ERRORS as e:
-                metrics.on_migrate(
-                    step.object_id, step.source, step.target, 0, now_s,
-                    ok=False,
-                )
+                metrics.on_migrate(0, ok=False)
                 if active is not None:
                     active.finish(
                         now_s, status=ObsSpanStatus.RETRIED,
@@ -416,10 +413,7 @@ class Rebalancer:
                 continue
             report.moved += 1
             report.bytes_moved += record.extent.length
-            metrics.on_migrate(
-                step.object_id, step.source, step.target,
-                record.extent.length, now_s,
-            )
+            metrics.on_migrate(record.extent.length)
             if active is not None:
                 active.finish(now_s, bytes=record.extent.length)
         self._pending.extend(retry)

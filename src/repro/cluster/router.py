@@ -230,7 +230,7 @@ class ClusterRouter:
         """The nodes holding (or owed) copies of ``object_id``."""
         return self._placement.replica_set(object_id)
 
-    def add_node(self, node: ClusterNode, *, now_s: float = 0.0) -> Placement:
+    def add_node(self, node: ClusterNode) -> Placement:
         """Admit a node and swap in the grown placement.
 
         Returns the *previous* placement so the rebalancer can diff the
@@ -246,10 +246,10 @@ class ClusterRouter:
         if self._obs is not None:
             node.archiver.obs = self._obs
         self._refresh_quorum()
-        self.metrics.on_node_status(node.node_id, "joined", now_s)
+        self.metrics.on_node_status(node.node_id, "joined")
         return old
 
-    def remove_node(self, node_id: int, *, now_s: float = 0.0) -> Placement:
+    def remove_node(self, node_id: int) -> Placement:
         """Remove a node from routing; returns the previous placement."""
         if node_id not in self._nodes:
             raise ClusterError(f"no node {node_id} in this cluster")
@@ -260,7 +260,7 @@ class ClusterRouter:
         del self._nodes[node_id]
         self._seen_down.discard(node_id)
         self._refresh_quorum()
-        self.metrics.on_node_status(node_id, "left", now_s)
+        self.metrics.on_node_status(node_id, "left")
         return old
 
     def _refresh_quorum(self) -> None:
@@ -308,7 +308,7 @@ class ClusterRouter:
                     record = node.store(obj, shared_archiver_data)
             except MISSED_WRITE_ERRORS as error:
                 missed.append(node_id)
-                self.metrics.on_replica_write(node_id, False)
+                self.metrics.on_replica_write(False)
                 if active is not None:
                     self._obs.emit(
                         active.context, f"replica:{node_id}",
@@ -318,7 +318,7 @@ class ClusterRouter:
                     )
                 continue
             acked.append(node_id)
-            self.metrics.on_replica_write(node_id, True)
+            self.metrics.on_replica_write(True)
             # Ack-time estimate for the quorum histogram: a cold seek
             # plus the transfer of the stored extent on that node's
             # device.  Replicas write in parallel, so the quorum is met
@@ -337,10 +337,7 @@ class ClusterRouter:
             quorum_latency = sorted(ack_times)[self.write_quorum - 1]
         else:
             quorum_latency = max(ack_times, default=0.0)
-        self.metrics.on_write(
-            obj.object_id, len(acked), len(replicas), quorum_latency, now_s,
-            quorum_met=quorum_met,
-        )
+        self.metrics.on_write(quorum_latency, quorum_met=quorum_met)
         if active is not None:
             active.finish(
                 now_s + quorum_latency,
@@ -403,7 +400,7 @@ class ClusterRouter:
                     node.attach_recognition(object_id, side_table)
             except MISSED_RECOGNITION_ERRORS as error:
                 missed.append(node_id)
-                self.metrics.on_replica_write(node_id, False)
+                self.metrics.on_replica_write(False)
                 if active is not None:
                     self._obs.emit(
                         active.context, f"replica:{node_id}",
@@ -413,7 +410,7 @@ class ClusterRouter:
                     )
                 continue
             acked.append(node_id)
-            self.metrics.on_replica_write(node_id, True)
+            self.metrics.on_replica_write(True)
             if active is not None:
                 self._obs.emit(
                     active.context, f"replica:{node_id}",
@@ -514,23 +511,18 @@ class ClusterRouter:
                     )
                 if not node.is_up and node_id not in self._seen_down:
                     self._seen_down.add(node_id)
-                    self.metrics.on_node_status(node_id, "down", arrival_s)
-                next_id = (
-                    order[position + 1] if position + 1 < len(order) else None
-                )
-                self.metrics.on_failover(node_id, next_id, op, arrival_s)
+                    self.metrics.on_node_status(node_id, "down")
+                self.metrics.on_failover()
                 continue
             if node_id in self._seen_down:
                 self._seen_down.discard(node_id)
-                self.metrics.on_node_status(node_id, "up", arrival_s)
+                self.metrics.on_node_status(node_id, "up")
             primary_service = service
             payload, service, served_by = self._maybe_hedge(
                 op, params, order, position, payload, service, arrival_s,
                 parent=route.context if route is not None else None,
             )
-            self.metrics.on_read(
-                served_by, station, service, service, arrival_s + service
-            )
+            self.metrics.on_read(served_by, service)
             if attempt is not None:
                 if served_by == node_id:
                     self._attempt_leaf(attempt.context, arrival_s, service)
@@ -542,7 +534,7 @@ class ClusterRouter:
                     )
                 route.finish(arrival_s + service, served_by=served_by)
             return payload, service
-        self.metrics.on_read_failed(station, object_id, arrival_s)
+        self.metrics.on_read_failed()
         if route is not None:
             route.finish(
                 arrival_s, status=ObsSpanStatus.ERROR,
@@ -601,7 +593,7 @@ class ClusterRouter:
                     )
                 continue
             won = hedge_service < service
-            self.metrics.on_hedge(order[position], hedge_id, won, arrival_s)
+            self.metrics.on_hedge(won)
             if attempt is not None:
                 if won:
                     self._attempt_leaf(
@@ -773,7 +765,7 @@ def replay_cluster(
         # serve guard, so an armed node crash fires here and the dead
         # replica is failed over, not counted as a failed read.
         candidates: list[tuple[_NodeTimeline, object]] = []
-        for position, node_id in enumerate(replicas):
+        for node_id in replicas:
             timeline = timelines.get(node_id)
             if timeline is None:
                 continue
@@ -783,19 +775,15 @@ def replay_cluster(
                 node = timeline.node
                 if not node.is_up and node_id not in router._seen_down:
                     router._seen_down.add(node_id)
-                    metrics.on_node_status(node_id, "down", arrival)
-                next_id = (
-                    replicas[position + 1]
-                    if position + 1 < len(replicas) else None
-                )
+                    metrics.on_node_status(node_id, "down")
                 report.failovers += 1
-                metrics.on_failover(node_id, next_id, "fetch", arrival)
+                metrics.on_failover()
                 continue
             candidates.append((timeline, record.extent))
 
         if not candidates:
             report.failed_reads += 1
-            metrics.on_read_failed(request.station, request.object_id, arrival)
+            metrics.on_read_failed()
             continue
 
         # Cheapest outcomes first: a cache hit or an in-flight
@@ -846,9 +834,7 @@ def replay_cluster(
                     _charge(report, alt, alt_extent, alt_start, alt_service)
                     report.hedges += 1
                     won = alt_finish < finish
-                    metrics.on_hedge(
-                        timeline.node.node_id, alt.node.node_id, won, arrival
-                    )
+                    metrics.on_hedge(won)
                     if won:
                         report.hedge_wins += 1
                     hedged = True
@@ -863,9 +849,7 @@ def replay_cluster(
             served_by = timeline.node.node_id
         report.latencies.append(latency)
         report.node_reads[served_by] += 1
-        metrics.on_read(
-            served_by, request.station, latency, service, arrival + latency
-        )
+        metrics.on_read(served_by, latency)
     return report
 
 

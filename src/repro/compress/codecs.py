@@ -217,6 +217,7 @@ def rle8_decode(payload: bytes, raw_len: int) -> bytes:
 
 
 def _read_varint(payload: bytes, i: int) -> tuple[int, int]:
+    # At most five bytes: 35 bits cover any u32 ``raw_len``.
     value, shift = 0, 0
     while True:
         if i >= len(payload):
@@ -227,7 +228,7 @@ def _read_varint(payload: bytes, i: int) -> tuple[int, int]:
         if not byte & 0x80:
             return value, i
         shift += 7
-        if shift > 35:
+        if shift >= 35:
             raise MediaCodecError("dvarint run length overflows")
 
 
@@ -268,14 +269,18 @@ def dvarint_decode(payload: bytes, raw_len: int) -> bytes:
         byte = payload[i]
         i += 1
         if byte:
+            # Literals cannot outgrow the payload already in memory; the
+            # final length check catches any excess.
             out.append(byte)
-        else:
-            run, i = _read_varint(payload, i)
-            out += b"\x00" * run
-        if len(out) > raw_len:
+            continue
+        run, i = _read_varint(payload, i)
+        # Checked before the zeros exist: a crafted run length must not
+        # allocate past the declared size.
+        if len(out) + run > raw_len:
             raise MediaCodecError(
                 f"dvarint stream expands past declared length {raw_len}"
             )
+        out += bytes(run)
     if len(out) != raw_len:
         raise MediaCodecError(
             f"dvarint stream yields {len(out)} bytes, header says {raw_len}"
@@ -294,11 +299,23 @@ def deflate_encode(raw: bytes) -> bytes:
 
 
 def deflate_decode(payload: bytes, raw_len: int) -> bytes:
-    """zlib-decompress, rejecting corrupt or wrong-length streams."""
+    """zlib-decompress, rejecting corrupt, unfinished or wrong-length streams.
+
+    Inflates at most ``raw_len + 1`` bytes, so a stream that expands
+    past its declared length is caught without materializing it.
+    Bytes after the end of the stream are ignored.
+    """
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(payload)
+        raw = inflater.decompress(payload, raw_len + 1)
     except zlib.error as exc:
         raise MediaCodecError(f"deflate payload corrupt: {exc}") from None
+    if len(raw) > raw_len:
+        raise MediaCodecError(
+            f"deflate stream expands past declared length {raw_len}"
+        )
+    if not inflater.eof:
+        raise MediaCodecError("deflate stream truncated")
     if len(raw) != raw_len:
         raise MediaCodecError(
             f"deflate stream yields {len(raw)} bytes, header says {raw_len}"

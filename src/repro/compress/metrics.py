@@ -1,18 +1,10 @@
-"""Compression observability: per-codec counters and ratio histograms.
-
-Mirrors every encode and decode into a :class:`repro.trace.Trace` as
-``COMPRESS_ENCODE`` / ``COMPRESS_DECODE`` events, following the same
-pattern as :class:`repro.server.metrics.ServerMetrics`, so trace
-tooling sees compression activity alongside device and server events.
-"""
+"""Compression observability: per-codec counters and ratio histograms."""
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from repro.trace import EventKind, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.metrics import Histogram, HistogramSnapshot
@@ -50,16 +42,9 @@ class CompressionSnapshot:
 
 
 class CompressionMetrics:
-    """Thread-safe per-codec compression instrumentation.
+    """Thread-safe per-codec compression instrumentation."""
 
-    Parameters
-    ----------
-    trace:
-        Optional trace to mirror ``COMPRESS_*`` events into.
-    """
-
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self) -> None:
         self._encode_counts: dict[str, int] = {}
         self._decode_counts: dict[str, int] = {}
         self._bytes_raw: dict[str, int] = {}
@@ -82,15 +67,7 @@ class CompressionMetrics:
             self._ratios[codec] = histogram
         return histogram
 
-    def on_encode(
-        self,
-        codec: str,
-        raw_len: int,
-        stored_len: int,
-        *,
-        tag: str = "",
-        time_s: float = 0.0,
-    ) -> None:
+    def on_encode(self, codec: str, raw_len: int, stored_len: int) -> None:
         """Record one encoded piece."""
         with self._lock:
             self._encode_counts[codec] = self._encode_counts.get(codec, 0) + 1
@@ -100,33 +77,11 @@ class CompressionMetrics:
             )
             if stored_len:
                 self._ratio_histogram(codec).record(raw_len / stored_len)
-            self.trace.record(
-                time_s,
-                EventKind.COMPRESS_ENCODE,
-                codec=codec,
-                tag=tag,
-                raw_len=raw_len,
-                stored_len=stored_len,
-            )
 
-    def on_decode(
-        self,
-        codec: str,
-        raw_len: int,
-        stored_len: int,
-        *,
-        time_s: float = 0.0,
-    ) -> None:
+    def on_decode(self, codec: str) -> None:
         """Record one decoded piece."""
         with self._lock:
             self._decode_counts[codec] = self._decode_counts.get(codec, 0) + 1
-            self.trace.record(
-                time_s,
-                EventKind.COMPRESS_DECODE,
-                codec=codec,
-                raw_len=raw_len,
-                stored_len=stored_len,
-            )
 
     def snapshot(self) -> CompressionSnapshot:
         """A coherent immutable copy of all counters and histograms."""

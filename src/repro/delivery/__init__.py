@@ -14,7 +14,7 @@ shared medium, against playout deadlines, with read-ahead:
   and audio-page boundaries; jitter buffer; underrun accounting.
 * :mod:`repro.delivery.prefetch` — browse-direction read-ahead through
   the shared cache, with generation-gated cancellation.
-* :mod:`repro.delivery.metrics` — ``DELIVERY_*`` trace events and
+* :mod:`repro.delivery.metrics` — delivery counters and
   latency/occupancy histograms.
 * :mod:`repro.delivery.pipeline` — the deterministic replay engine,
   workload builder, and policy comparison (C-STREAM).

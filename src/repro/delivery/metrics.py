@@ -1,11 +1,8 @@
-"""Delivery observability: histograms, counters, ``DELIVERY_*`` events.
+"""Delivery observability: histograms and counters.
 
 The continuous-voice claim is only checkable if the pipeline reports
 what the listener experienced: startup latency, jitter-buffer
-occupancy, underruns, chunk latency and page-turn latency.  Everything
-is mirrored into a :class:`repro.trace.Trace` as ``DELIVERY_*`` events
-(stamped with simulated time) so the existing trace tooling works on
-delivery activity exactly as it does on server activity, and the
+occupancy, underruns, chunk latency and page-turn latency.  The
 histograms reuse :class:`repro.server.metrics.Histogram` so percentile
 assertions read the same in C-CONC and C-STREAM.
 """
@@ -16,7 +13,6 @@ import threading
 from dataclasses import dataclass
 
 from repro.server.metrics import Histogram, HistogramSnapshot
-from repro.trace import EventKind, Trace
 
 
 @dataclass(frozen=True)
@@ -45,17 +41,9 @@ class DeliverySnapshot:
 
 
 class DeliveryMetrics:
-    """Thread-safe instrumentation for the delivery pipeline.
+    """Thread-safe instrumentation for the delivery pipeline."""
 
-    Parameters
-    ----------
-    trace:
-        Optional trace to mirror ``DELIVERY_*`` events into (a fresh
-        one is created if omitted).
-    """
-
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self) -> None:
         self.chunk_latency = Histogram()
         self.page_latency = Histogram()
         self.startup_latency = Histogram()
@@ -74,14 +62,7 @@ class DeliveryMetrics:
         self._prefetch_cancelled = 0
         self._lock = threading.Lock()
 
-    def on_chunk(
-        self,
-        station: str,
-        traffic_class: str,
-        nbytes: int,
-        latency_s: float,
-        time_s: float,
-    ) -> None:
+    def on_chunk(self, traffic_class: str, nbytes: int, latency_s: float) -> None:
         """Record one chunk delivered to a station."""
         self.chunk_latency.record(latency_s)
         with self._lock:
@@ -90,74 +71,40 @@ class DeliveryMetrics:
                 self._audio_bytes += nbytes
             else:
                 self._bulk_bytes += nbytes
-            self.trace.record(
-                time_s, EventKind.DELIVERY_CHUNK, station=station,
-                traffic_class=traffic_class, nbytes=nbytes,
-                latency_s=round(latency_s, 6),
-            )
 
-    def on_stream_start(
-        self, station: str, startup_latency_s: float, time_s: float
-    ) -> None:
+    def on_stream_start(self, startup_latency_s: float) -> None:
         """Record playback beginning on a station."""
         self.startup_latency.record(startup_latency_s)
         with self._lock:
             self._streams_started += 1
-            self.trace.record(
-                time_s, EventKind.DELIVERY_START, station=station,
-                startup_latency_s=round(startup_latency_s, 6),
-            )
 
     def on_buffer_level(self, buffered_s: float) -> None:
         """Sample the jitter-buffer occupancy of a running stream."""
         self.buffer_occupancy.record(buffered_s)
 
-    def on_underrun(
-        self, station: str, seq: int, stall_s: float, time_s: float
-    ) -> None:
+    def on_underrun(self, stall_s: float) -> None:
         """Record one playback stall (the speaker went silent)."""
         with self._lock:
             self._underruns += 1
             self._stall_s += stall_s
-            self.trace.record(
-                time_s, EventKind.DELIVERY_UNDERRUN, station=station,
-                seq=seq, stall_s=round(stall_s, 6),
-            )
 
-    def on_page_turn(
-        self,
-        station: str,
-        page: int,
-        latency_s: float,
-        prefetched: bool,
-        time_s: float,
-    ) -> None:
+    def on_page_turn(self, latency_s: float, prefetched: bool) -> None:
         """Record one visual page becoming fully resident at a station."""
         self.page_latency.record(latency_s)
         with self._lock:
             self._page_turns += 1
             if prefetched:
                 self._prefetch_page_hits += 1
-            self.trace.record(
-                time_s, EventKind.DELIVERY_PAGE, station=station, page=page,
-                latency_s=round(latency_s, 6), prefetched=prefetched,
-            )
 
-    def on_prefetch(self, station: str, page: int, time_s: float) -> None:
+    def on_prefetch(self) -> None:
         """Record one read-ahead task issued."""
         with self._lock:
             self._prefetch_issued += 1
-            self.trace.record(
-                time_s, EventKind.DELIVERY_PREFETCH, station=station, page=page,
-            )
 
-    def on_cancel(self, station: str, count: int, time_s: float) -> None:
+    def on_cancel(self, count: int) -> None:
         """Record a jump revoking ``count`` outstanding prefetches."""
         with self._lock:
             self._prefetch_cancelled += count
-            self.trace.record(
-                time_s, EventKind.DELIVERY_CANCEL, station=station, count=count,
-            )
 
     def snapshot(self) -> DeliverySnapshot:
         """A coherent immutable copy of all counters and histograms."""

@@ -305,8 +305,7 @@ class DeliveryPipeline:
     config:
         Policy and knobs.
     metrics:
-        Instrumentation sink (a fresh one is created if omitted); its
-        trace carries the ``DELIVERY_*`` timeline.
+        Instrumentation sink (a fresh one is created if omitted).
     """
 
     def __init__(
@@ -529,7 +528,7 @@ class DeliveryPipeline:
                     and c.meta.get("generation", generation) < generation
                 )
             )
-            self.metrics.on_cancel(station, len(revoked), self._now)
+            self.metrics.on_cancel(len(revoked))
         key = (station, str(view.object_id), view.page)
         extents = self._extents_of(view.object_id)
         if view.page >= len(extents):
@@ -539,9 +538,7 @@ class DeliveryPipeline:
             )
         if key in self._page_store:
             prefetched = self._page_store[key] == "prefetch"
-            self.metrics.on_page_turn(
-                station, view.page, 0.0, prefetched, self._now
-            )
+            self.metrics.on_page_turn(0.0, prefetched)
             self._report.page_turns += 1
             self._report.page_latencies.append(0.0)
             if prefetched:
@@ -627,7 +624,7 @@ class DeliveryPipeline:
             pending = (
                 task.station, task.generation, str(task.object_id), task.page
             )
-            self.metrics.on_prefetch(task.station, task.page, self._now)
+            self.metrics.on_prefetch()
             self._start_prefetch_span(task, pending)
             total = self._split_bulk(
                 task.station, task.length, ready,
@@ -662,7 +659,7 @@ class DeliveryPipeline:
             ready = max(
                 self._now, self._key_ready.get(task.cache_key(), self._now)
             )
-        self.metrics.on_prefetch(task.station, task.page, self._now)
+        self.metrics.on_prefetch()
         self._start_prefetch_span(task, pending)
         total = self._split_bulk(
             task.station, task.length, ready,
@@ -693,10 +690,7 @@ class DeliveryPipeline:
         chunk, _ = payload
         self._link_busy = False
         latency = self._now - chunk.issued_s
-        self.metrics.on_chunk(
-            chunk.station, chunk.traffic_class.value, chunk.nbytes,
-            latency, self._now,
-        )
+        self.metrics.on_chunk(chunk.traffic_class.value, chunk.nbytes, latency)
         kind = chunk.meta.get("kind")
         if kind == "stream":
             self._deliver_stream_chunk(chunk)
@@ -716,13 +710,9 @@ class DeliveryPipeline:
         was_started = session.started_s is not None
         event = session.on_delivered(chunk.meta["stream_seq"], self._now)
         if not was_started and session.started_s is not None:
-            self.metrics.on_stream_start(
-                station, session.startup_latency_s, self._now
-            )
+            self.metrics.on_stream_start(session.startup_latency_s)
         if event is not None:
-            self.metrics.on_underrun(
-                station, event.seq, event.stall_s, self._now
-            )
+            self.metrics.on_underrun(event.stall_s)
             if self.obs is not None:
                 self.obs.emit(
                     self._stream_ctx.get(station), "underrun",
@@ -747,8 +737,7 @@ class DeliveryPipeline:
             del self._pending_pages[key]
             latency = self._now - state[0]
             self._page_store[key] = "demand"
-            station, _, page = key
-            self.metrics.on_page_turn(station, page, latency, False, self._now)
+            self.metrics.on_page_turn(latency, False)
             self._report.page_turns += 1
             self._report.page_latencies.append(latency)
             self._report.cold_page_latencies.append(latency)

@@ -17,8 +17,8 @@ corresponding typed error:
   alone and call ``recover()``.
 
 Every injected fault is recorded in :attr:`FaultPlan.events` and
-mirrored into an optional trace/metrics sink as ``FAULT_*`` events, so
-a recovered archive can report exactly which fault it survived.
+counted in an optional metrics sink, so a recovered archive can report
+exactly which fault it survived.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class FaultPlan:
         Faults to arm up front (more can be armed via :meth:`arm`).
     metrics:
         Optional :class:`repro.server.metrics.ServerMetrics`; injected
-        faults are counted and mirrored as ``FAULT_*`` trace events.
+        faults are counted in its ``fault_counts``.
     """
 
     def __init__(self, specs=(), *, metrics=None) -> None:

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from repro.errors import QueryError
 from repro.ids import ObjectId
-from repro.index.lsm import CompactionResult, IndexShard, Segment
+from repro.index.lsm import CompactionResult, IndexShard
 from repro.index.metrics import IndexMetrics
 from repro.index.planner import (
     Node,
@@ -82,7 +82,7 @@ class ArchiveIndex:
             shard_id: IndexShard(
                 shard_id,
                 memtable_budget_bytes=memtable_budget_bytes,
-                on_flush=self._record_flush,
+                on_flush=self.metrics.on_flush,
                 fault_plan=fault_plan,
             )
             for shard_id in range(n_shards)
@@ -99,9 +99,6 @@ class ArchiveIndex:
         self._ordinals: dict[ObjectId, int] = {}
         self._voice_version: dict[ObjectId, int] = {}
         self._lock = threading.Lock()
-
-    def _record_flush(self, shard_id: int, segment: Segment) -> None:
-        self.metrics.on_flush(shard_id, segment.posting_count, segment.nbytes)
 
     # ------------------------------------------------------------------
     # build side
@@ -124,7 +121,7 @@ class ArchiveIndex:
                 self._ordinals[object_id] = len(self._ordinals)
             self._voice_version.setdefault(object_id, version)
         added = self._add_postings(object_id, postings, version)
-        self.metrics.on_insert(object_id, "both", added)
+        self.metrics.on_insert(added)
         return added
 
     def update_voice(
@@ -156,7 +153,7 @@ class ArchiveIndex:
         added = self._add_postings(
             object_id, postings, version, voice_only=True
         )
-        self.metrics.on_voice_reindex(object_id, added, version)
+        self.metrics.on_voice_reindex(added)
         return added
 
     def _add_postings(
@@ -223,7 +220,7 @@ class ArchiveIndex:
         start = time.perf_counter()
         postings = self._shards[shard_id].postings(term, live=self._live)
         elapsed = time.perf_counter() - start
-        self.metrics.on_shard_lookup(shard_id, term, elapsed)
+        self.metrics.on_shard_lookup(shard_id, elapsed)
         if self.obs is not None:
             now = self.obs.now()
             self.obs.emit(
@@ -255,9 +252,9 @@ class ArchiveIndex:
         """
         validate_channel(channel)
         node = parse_query(query) if isinstance(query, str) else query
-        text = query if isinstance(query, str) else repr(node)
         active = None
         if self.obs is not None:
+            text = query if isinstance(query, str) else repr(node)
             active = self.obs.start(
                 current_span(), "index:query", ObsSpanKind.INDEX,
                 self.obs.now(), query=text, channel=channel,
@@ -270,7 +267,7 @@ class ArchiveIndex:
             matched = self._evaluate(node, channel)
         ordered = self.in_storage_order(matched)
         elapsed = time.perf_counter() - start
-        self.metrics.on_query(text, channel, len(ordered), elapsed)
+        self.metrics.on_query(elapsed)
         if active is not None:
             active.finish(active.start_s + elapsed, results=len(ordered))
         return ordered
@@ -299,9 +296,7 @@ class ArchiveIndex:
         else:
             matched = self._evaluate(terms_query(terms), channel)
         elapsed = time.perf_counter() - start
-        self.metrics.on_query(
-            " AND ".join(terms), channel, len(matched), elapsed
-        )
+        self.metrics.on_query(elapsed)
         if active is not None:
             active.finish(active.start_s + elapsed, results=len(matched))
         return matched
@@ -355,7 +350,7 @@ class ArchiveIndex:
         for shard in self._shards.values():
             result = shard.compact(self._live)
             self.metrics.on_compaction(
-                result.shard_id, result.segments_merged, result.postings_dropped
+                result.segments_merged, result.postings_dropped
             )
             results.append(result)
         return results

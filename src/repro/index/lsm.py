@@ -120,7 +120,7 @@ class IndexShard:
         Flush threshold; the memtable is flushed into a fresh segment
         as soon as its accounted size exceeds this budget.
     on_flush:
-        Optional callback ``(shard_id, segment)`` fired after a flush.
+        Optional no-argument callback fired after a flush.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` consulted at the
         ``lsm.flush.segment`` and ``lsm.compact.swap`` sites.
@@ -130,7 +130,7 @@ class IndexShard:
         self,
         shard_id: int,
         memtable_budget_bytes: int = 64 * 1024,
-        on_flush: Callable[[int, Segment], None] | None = None,
+        on_flush: Callable[[], None] | None = None,
         fault_plan=None,
     ) -> None:
         if memtable_budget_bytes <= 0:
@@ -171,14 +171,14 @@ class IndexShard:
                 except TransientIOError:
                     self.flush_failures += 1
         if flushed is not None and self._on_flush is not None:
-            self._on_flush(self.shard_id, flushed)
+            self._on_flush()
 
     def flush(self) -> Segment | None:
         """Force the memtable into a segment (None if it was empty)."""
         with self._lock:
             flushed = self._flush_locked()
         if flushed is not None and self._on_flush is not None:
-            self._on_flush(self.shard_id, flushed)
+            self._on_flush()
         return flushed
 
     def _flush_locked(self) -> Segment | None:

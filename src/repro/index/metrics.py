@@ -1,12 +1,10 @@
-"""Index observability: counters, per-shard histograms, trace events.
+"""Index observability: counters and per-shard histograms.
 
 Section 5's claim — browse-time search at insertion-time cost — is only
 checkable if the index reports what it does.  Every structural event
-(insert, flush, compaction) and every query is counted, per-shard
+(insert, flush, compaction) and every query is counted, and per-shard
 lookup latencies go into :class:`repro.server.metrics.Histogram`
-instances, and everything is mirrored into a
-:class:`repro.trace.Trace` as ``INDEX_*`` / ``SEARCH_*`` events so the
-existing trace tooling works on index activity unchanged.
+instances.
 
 Latencies here are *wall-clock seconds* of real index work — the index
 is a real data structure, not a simulated device — which is exactly
@@ -18,8 +16,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from repro.trace import EventKind, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.server.metrics import Histogram, HistogramSnapshot
@@ -51,19 +47,9 @@ class IndexMetricsSnapshot:
 
 
 class IndexMetrics:
-    """Thread-safe instrumentation for an :class:`ArchiveIndex`.
+    """Thread-safe instrumentation for an :class:`ArchiveIndex`."""
 
-    Parameters
-    ----------
-    trace:
-        Optional trace to mirror events into (a private one is created
-        otherwise).  Trace timestamps are a monotone per-index sequence
-        number — index operations happen outside any simulated session
-        clock, but ordering is what trace consumers need.
-    """
-
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self) -> None:
         self.query_latency = _histogram()
         self._shard_latency: dict[int, "Histogram"] = {}
         self._objects_indexed = 0
@@ -75,89 +61,54 @@ class IndexMetrics:
         self._postings_dropped = 0
         self._queries = 0
         self._shard_lookups = 0
-        self._seq = 0
         self._lock = threading.Lock()
-
-    def _tick(self) -> float:
-        self._seq += 1
-        return float(self._seq)
 
     # ------------------------------------------------------------------
     # build-side events
     # ------------------------------------------------------------------
 
-    def on_insert(self, object_id, channel: str, postings: int) -> None:
+    def on_insert(self, postings: int) -> None:
         """Record one object's postings entering the index."""
         with self._lock:
             self._objects_indexed += 1
             self._postings_indexed += postings
-            self.trace.record(
-                self._tick(), EventKind.INDEX_INSERT,
-                object=str(object_id), channel=channel, postings=postings,
-            )
 
-    def on_voice_reindex(self, object_id, postings: int, version: int) -> None:
+    def on_voice_reindex(self, postings: int) -> None:
         """Record a voice-channel reindex after (re-)recognition."""
         with self._lock:
             self._voice_reindexes += 1
             self._postings_indexed += postings
-            self.trace.record(
-                self._tick(), EventKind.INDEX_INSERT,
-                object=str(object_id), channel="voice", postings=postings,
-                version=version, reindex=True,
-            )
 
-    def on_flush(self, shard_id: int, postings: int, nbytes: int) -> None:
+    def on_flush(self) -> None:
         """Record one memtable flush into an immutable segment."""
         with self._lock:
             self._flushes += 1
-            self.trace.record(
-                self._tick(), EventKind.INDEX_FLUSH,
-                shard=shard_id, postings=postings, nbytes=nbytes,
-            )
 
-    def on_compaction(
-        self, shard_id: int, segments_merged: int, postings_dropped: int
-    ) -> None:
+    def on_compaction(self, segments_merged: int, postings_dropped: int) -> None:
         """Record one shard compaction."""
         with self._lock:
             self._compactions += 1
             self._segments_merged += segments_merged
             self._postings_dropped += postings_dropped
-            self.trace.record(
-                self._tick(), EventKind.INDEX_COMPACT,
-                shard=shard_id, segments_merged=segments_merged,
-                postings_dropped=postings_dropped,
-            )
 
     # ------------------------------------------------------------------
     # query-side events
     # ------------------------------------------------------------------
 
-    def on_shard_lookup(self, shard_id: int, term: str, latency_s: float) -> None:
+    def on_shard_lookup(self, shard_id: int, latency_s: float) -> None:
         """Record one term lookup against one shard."""
         with self._lock:
             self._shard_lookups += 1
             histogram = self._shard_latency.get(shard_id)
             if histogram is None:
                 histogram = self._shard_latency[shard_id] = _histogram()
-            self.trace.record(
-                self._tick(), EventKind.SEARCH_SHARD,
-                shard=shard_id, term=term, latency_s=latency_s,
-            )
         histogram.record(latency_s)
 
-    def on_query(
-        self, query: str, channel: str, hits: int, latency_s: float
-    ) -> None:
+    def on_query(self, latency_s: float) -> None:
         """Record one index-served query."""
         self.query_latency.record(latency_s)
         with self._lock:
             self._queries += 1
-            self.trace.record(
-                self._tick(), EventKind.SEARCH_QUERY,
-                query=query, channel=channel, hits=hits, latency_s=latency_s,
-            )
 
     # ------------------------------------------------------------------
     # snapshot

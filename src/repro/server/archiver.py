@@ -118,10 +118,6 @@ class Archiver:
         Optional :class:`~repro.compress.CompressionMetrics` recording
         per-codec encode/decode activity (a private one is created if
         not given).
-    server_metrics:
-        Optional :class:`~repro.server.metrics.ServerMetrics` whose
-        compression counters are advanced alongside the dedicated
-        compression metrics.
     """
 
     def __init__(
@@ -134,7 +130,6 @@ class Archiver:
         *,
         compression: bool = True,
         compression_metrics: CompressionMetrics | None = None,
-        server_metrics=None,
     ) -> None:
         self._disk = disk or OpticalDisk()
         self._cache = cache
@@ -146,7 +141,6 @@ class Archiver:
             if compression_metrics is not None
             else CompressionMetrics()
         )
-        self._server_metrics = server_metrics
         self._records: dict[ObjectId, StoredObjectRecord] = {}
         # One lock serializes record-table mutation and device access:
         # the simulated disk tracks a head position, so concurrent reads
@@ -349,12 +343,8 @@ class Archiver:
                 stats.media_raw_bytes += piece.raw_len
                 stats.media_stored_bytes += piece.stored_len
             self.compression_metrics.on_encode(
-                piece.codec, piece.raw_len, piece.stored_len, tag=piece.tag
+                piece.codec, piece.raw_len, piece.stored_len
             )
-            if self._server_metrics is not None:
-                self._server_metrics.on_compress_encode(
-                    piece.codec, piece.raw_len, piece.stored_len
-                )
         if self._obs is not None:
             # One instant marker per store: encode cost is not part of
             # the simulated device model, so the span carries byte
@@ -388,9 +378,7 @@ class Archiver:
         self._fire(COMPRESS_DECODE)
         raw, codec_id = decode_frame(data)
         name = codec_name(codec_id)
-        self.compression_metrics.on_decode(name, len(raw), len(data))
-        if self._server_metrics is not None:
-            self._server_metrics.on_compress_decode(name)
+        self.compression_metrics.on_decode(name)
         if self._obs is not None:
             now = self._obs.now()
             self._obs.emit(

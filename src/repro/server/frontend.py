@@ -34,7 +34,6 @@ from repro.obs.context import bind, current
 from repro.obs.spans import SpanContext, SpanKind, SpanRecorder, SpanStatus
 from repro.server.archiver import Archiver, CachingArchiver
 from repro.server.metrics import ServerMetrics
-from repro.trace import Trace
 
 _STOP = object()
 
@@ -126,8 +125,6 @@ class ServerFrontend:
         beyond this are rejected with :class:`ServerBusyError`.
     metrics:
         Instrumentation sink (a fresh one is created if omitted).
-    trace:
-        Convenience: trace to attach to a fresh metrics object.
     """
 
     #: Operations a request may name, mapped to archiver methods.
@@ -150,7 +147,6 @@ class ServerFrontend:
         workers: int = 4,
         queue_depth: int = 32,
         metrics: ServerMetrics | None = None,
-        trace: Trace | None = None,
         obs: SpanRecorder | None = None,
     ) -> None:
         if workers <= 0:
@@ -160,7 +156,7 @@ class ServerFrontend:
         self._archiver = archiver
         self._workers_n = workers
         self._queue: queue.Queue = queue.Queue(maxsize=queue_depth)
-        self.metrics = metrics if metrics is not None else ServerMetrics(trace)
+        self.metrics = metrics if metrics is not None else ServerMetrics()
         self.obs = obs
         if obs is not None:
             # One timeline for the whole serving stack: spans emitted by
@@ -265,9 +261,9 @@ class ServerFrontend:
         try:
             self._queue.put_nowait(future)
         except queue.Full:
-            now = self.sim_time_s
-            self.metrics.on_reject(station, op, depth, now)
+            self.metrics.on_reject()
             if self.obs is not None:
+                now = self.sim_time_s
                 self.obs.emit(
                     ctx, f"server:{op}", SpanKind.SERVER, now, now,
                     status=SpanStatus.ERROR,
@@ -279,7 +275,7 @@ class ServerFrontend:
                 f"admission queue full ({depth} waiting); request "
                 f"{request.request_id} ({op}) rejected"
             ) from None
-        self.metrics.on_admit(station, op, depth, self.sim_time_s)
+        self.metrics.on_admit(depth)
         return future
 
     def fetch(self, object_id: ObjectId, *, station: str = "ws-0"):
@@ -360,7 +356,7 @@ class ServerFrontend:
                 else:
                     payload, service = self._execute(request)
             except Exception as exc:  # typed errors flow to the caller
-                self.metrics.on_error(request.station, request.op, exc)
+                self.metrics.on_error(exc)
                 if active is not None:
                     active.finish(
                         self.sim_time_s,
@@ -378,10 +374,7 @@ class ServerFrontend:
             # service time.
             latency = max(now - request.arrival_s, service)
             cache_hit = service == 0.0
-            self.metrics.on_complete(
-                request.station, request.op, latency, service, now,
-                cache_hit=cache_hit,
-            )
+            self.metrics.on_complete(latency, service, cache_hit=cache_hit)
             if active is not None:
                 start = now - latency
                 if latency > service:

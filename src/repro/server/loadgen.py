@@ -209,10 +209,7 @@ def replay_virtual(
                 flights[key] = finish
         report.latencies.append(latency)
         if metrics is not None:
-            metrics.on_complete(
-                request.station, "fetch", latency, service, finish,
-                cache_hit=(service == 0.0),
-            )
+            metrics.on_complete(latency, service, cache_hit=(service == 0.0))
     return report
 
 

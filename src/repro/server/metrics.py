@@ -3,10 +3,7 @@
 Section 5's performance concern is only actionable if it is measurable:
 the frontend records per-request latency, queue depth at admission,
 rejections, and cache effectiveness.  Everything is thread-safe (worker
-threads record concurrently) and everything important is mirrored into
-a :class:`repro.trace.Trace` as ``SERVER_*`` events, so the existing
-trace tooling (dump, of_kind, since) works on server activity exactly
-as it does on workstation activity.
+threads record concurrently).
 
 Latencies are recorded in *simulated seconds* — the modelled service
 and queueing time of the storage substrate — so histograms are
@@ -21,8 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from repro.trace import EventKind, Trace
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -174,27 +169,6 @@ class MetricsSnapshot:
     fault_counts: dict[tuple[str, str], int]
     #: Recovery outcomes by name (``rollforward``, ``rollback``, ...).
     recovery_counts: dict[str, int]
-    #: Raw media bytes archived vs. the stored (framed) bytes they
-    #: became, plus per-codec encode/decode counts — populated when an
-    #: :class:`~repro.server.archiver.Archiver` is wired to these
-    #: metrics via ``server_metrics=``.
-    media_raw_bytes: int = 0
-    media_stored_bytes: int = 0
-    compress_encodes: dict[str, int] = None  # type: ignore[assignment]
-    compress_decodes: dict[str, int] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.compress_encodes is None:
-            object.__setattr__(self, "compress_encodes", {})
-        if self.compress_decodes is None:
-            object.__setattr__(self, "compress_decodes", {})
-
-    @property
-    def media_ratio(self) -> float:
-        """Raw/stored media byte ratio (1.0 when nothing was archived)."""
-        if not self.media_stored_bytes:
-            return 1.0
-        return self.media_raw_bytes / self.media_stored_bytes
 
     @property
     def hit_rate(self) -> float:
@@ -209,19 +183,9 @@ class MetricsSnapshot:
 
 
 class ServerMetrics:
-    """Thread-safe instrumentation for the server frontend.
+    """Thread-safe instrumentation for the server frontend."""
 
-    Parameters
-    ----------
-    trace:
-        Optional trace to mirror events into; ``SERVER_ADMIT``,
-        ``SERVER_COMPLETE`` and ``SERVER_REJECT`` events carry the
-        station, operation, latency and queue depth so existing trace
-        consumers can reconstruct the whole serving timeline.
-    """
-
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self) -> None:
         self.latency = Histogram()
         self.service = Histogram()
         self._queue_depths: dict[int, int] = {}
@@ -234,39 +198,21 @@ class ServerMetrics:
         self._error_kinds: dict[str, int] = {}
         self._fault_counts: dict[tuple[str, str], int] = {}
         self._recovery_counts: dict[str, int] = {}
-        self._media_raw_bytes = 0
-        self._media_stored_bytes = 0
-        self._compress_encodes: dict[str, int] = {}
-        self._compress_decodes: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def on_admit(self, station: str, op: str, depth: int, time_s: float) -> None:
+    def on_admit(self, depth: int) -> None:
         """Record one admitted request and the queue depth it saw."""
         with self._lock:
             self._admitted += 1
             self._queue_depths[depth] = self._queue_depths.get(depth, 0) + 1
-            self.trace.record(
-                time_s, EventKind.SERVER_ADMIT, station=station, op=op,
-                queue_depth=depth,
-            )
 
-    def on_reject(self, station: str, op: str, depth: int, time_s: float) -> None:
+    def on_reject(self) -> None:
         """Record one rejected (admission-control) request."""
         with self._lock:
             self._rejected += 1
-            self.trace.record(
-                time_s, EventKind.SERVER_REJECT, station=station, op=op,
-                queue_depth=depth,
-            )
 
     def on_complete(
-        self,
-        station: str,
-        op: str,
-        latency_s: float,
-        service_s: float,
-        time_s: float,
-        cache_hit: bool,
+        self, latency_s: float, service_s: float, cache_hit: bool
     ) -> None:
         """Record one completed request with its simulated timings."""
         self.latency.record(latency_s)
@@ -277,15 +223,8 @@ class ServerMetrics:
                 self._cache_hits += 1
             else:
                 self._cache_misses += 1
-            self.trace.record(
-                time_s, EventKind.SERVER_COMPLETE, station=station, op=op,
-                latency_s=round(latency_s, 6), service_s=round(service_s, 6),
-                cache_hit=cache_hit,
-            )
 
-    def on_error(
-        self, station: str, op: str, error: BaseException | None = None
-    ) -> None:
+    def on_error(self, error: BaseException | None = None) -> None:
         """Record one request that failed with an exception.
 
         When the exception is supplied, its class name is counted in
@@ -298,51 +237,17 @@ class ServerMetrics:
                 kind = type(error).__name__
                 self._error_kinds[kind] = self._error_kinds.get(kind, 0) + 1
 
-    def on_fault(self, site: str, kind: str, time_s: float = 0.0) -> None:
-        """Record one injected fault (mirrored as a ``FAULT_*`` event)."""
+    def on_fault(self, site: str, kind: str) -> None:
+        """Record one injected fault."""
         with self._lock:
             key = (site, kind)
             self._fault_counts[key] = self._fault_counts.get(key, 0) + 1
-            event = (
-                EventKind.FAULT_CRASH
-                if kind == "crash"
-                else EventKind.FAULT_INJECTED
-            )
-            self.trace.record(time_s, event, site=site, fault=kind)
 
-    def on_recovery(self, outcome: str, time_s: float = 0.0, **detail) -> None:
+    def on_recovery(self, outcome: str) -> None:
         """Record one recovery outcome (``rollforward``, ``rollback``, ...)."""
-        events = {
-            "replay": EventKind.RECOVER_REPLAY,
-            "rollforward": EventKind.RECOVER_ROLLFORWARD,
-            "rollback": EventKind.RECOVER_ROLLBACK,
-            "complete": EventKind.RECOVER_COMPLETE,
-        }
         with self._lock:
             self._recovery_counts[outcome] = (
                 self._recovery_counts.get(outcome, 0) + 1
-            )
-            self.trace.record(
-                time_s,
-                events.get(outcome, EventKind.RECOVER_REPLAY),
-                outcome=outcome,
-                **detail,
-            )
-
-    def on_compress_encode(self, codec: str, raw_len: int, stored_len: int) -> None:
-        """Record one archived piece's raw vs. stored byte counts."""
-        with self._lock:
-            self._media_raw_bytes += raw_len
-            self._media_stored_bytes += stored_len
-            self._compress_encodes[codec] = (
-                self._compress_encodes.get(codec, 0) + 1
-            )
-
-    def on_compress_decode(self, codec: str) -> None:
-        """Record one open-path frame decode."""
-        with self._lock:
-            self._compress_decodes[codec] = (
-                self._compress_decodes.get(codec, 0) + 1
             )
 
     def snapshot(self) -> MetricsSnapshot:
@@ -361,8 +266,4 @@ class ServerMetrics:
                 error_kinds=dict(self._error_kinds),
                 fault_counts=dict(self._fault_counts),
                 recovery_counts=dict(self._recovery_counts),
-                media_raw_bytes=self._media_raw_bytes,
-                media_stored_bytes=self._media_stored_bytes,
-                compress_encodes=dict(self._compress_encodes),
-                compress_decodes=dict(self._compress_decodes),
             )

@@ -101,9 +101,9 @@ def decode_side_table(encoded: dict) -> dict:
     }
 
 
-def _emit(metrics: "ServerMetrics | None", outcome: str, **detail) -> None:
+def _emit(metrics: "ServerMetrics | None", outcome: str) -> None:
     if metrics is not None:
-        metrics.on_recovery(outcome, **detail)
+        metrics.on_recovery(outcome)
 
 
 def _merge(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -223,10 +223,7 @@ def recover_archiver(
             return Extent(offset, end - offset)
 
         for entry in replay.entries:
-            _emit(
-                metrics, "replay", txid=entry.txid, txn=entry.kind,
-                status=entry.status,
-            )
+            _emit(metrics, "replay")
             if entry.kind == "store":
                 payload = entry.payload
                 object_id = ObjectId(payload["object_id"])
@@ -262,10 +259,7 @@ def recover_archiver(
                     if entry.status == PENDING:
                         archiver._journal.seal(entry.txid)
                         report.stores_rolled_forward += 1
-                        _emit(
-                            metrics, "rollforward", txid=entry.txid,
-                            object_id=str(object_id),
-                        )
+                        _emit(metrics, "rollforward")
                     else:
                         report.stores_recovered += 1
                 else:
@@ -274,10 +268,7 @@ def recover_archiver(
                     partial = clamp(offset, length)
                     if partial is not None:
                         dead.append(partial)
-                    _emit(
-                        metrics, "rollback", txid=entry.txid,
-                        object_id=str(object_id),
-                    )
+                    _emit(metrics, "rollback")
             elif entry.kind == "recognize":
                 payload = entry.payload
                 object_id = ObjectId(payload["object_id"])
@@ -289,10 +280,7 @@ def recover_archiver(
                     if entry.status == PENDING:
                         archiver._journal.abort(entry.txid)
                     report.recognitions_rolled_back += 1
-                    _emit(
-                        metrics, "rollback", txid=entry.txid,
-                        object_id=str(object_id),
-                    )
+                    _emit(metrics, "rollback")
                     continue
                 # The journal carries the *complete merged* side table,
                 # so assignment is idempotent and later records win.
@@ -305,10 +293,7 @@ def recover_archiver(
                 if entry.status == PENDING:
                     archiver._journal.seal(entry.txid)
                     report.recognitions_rolled_forward += 1
-                    _emit(
-                        metrics, "rollforward", txid=entry.txid,
-                        object_id=str(object_id),
-                    )
+                    _emit(metrics, "rollforward")
                 else:
                     report.recognitions_recovered += 1
 
@@ -345,13 +330,5 @@ def recover_archiver(
         report.dead_extents = dead_extent_union(dead, owned_extents)
         report.unaccounted_bytes = used - owned - report.dead_bytes
 
-    _emit(
-        metrics, "complete",
-        objects=report.objects_recovered,
-        rolled_forward=report.stores_rolled_forward
-        + report.recognitions_rolled_forward,
-        rolled_back=report.stores_rolled_back
-        + report.recognitions_rolled_back,
-        dead_bytes=report.dead_bytes,
-    )
+    _emit(metrics, "complete")
     return report

@@ -391,7 +391,7 @@ class SimWorld:
             return None
         node = self._build_node(self._next_node_id)
         self._next_node_id += 1
-        self.rebalancer.join(node, now_s=self.clock.now)
+        self.rebalancer.join(node)
         return None
 
     def _op_leave_node(self, params: dict, index: int) -> Violation | None:
@@ -406,7 +406,7 @@ class SimWorld:
         if not candidates:
             return None
         node = candidates[params["pick"] % len(candidates)]
-        self.rebalancer.leave(node.node_id, now_s=self.clock.now)
+        self.rebalancer.leave(node.node_id)
         self.leaving.add(node.node_id)
         return None
 

@@ -47,34 +47,6 @@ class EventKind(enum.Enum):
     MINIATURE_SHOWN = "miniature_shown"
     SEARCH_HIT = "search_hit"
     TRANSFER = "transfer"
-    SERVER_ADMIT = "server_admit"
-    SERVER_COMPLETE = "server_complete"
-    SERVER_REJECT = "server_reject"
-    DELIVERY_START = "delivery_start"
-    DELIVERY_CHUNK = "delivery_chunk"
-    DELIVERY_UNDERRUN = "delivery_underrun"
-    DELIVERY_PAGE = "delivery_page"
-    DELIVERY_PREFETCH = "delivery_prefetch"
-    DELIVERY_CANCEL = "delivery_cancel"
-    FAULT_INJECTED = "fault_injected"
-    FAULT_CRASH = "fault_crash"
-    RECOVER_REPLAY = "recover_replay"
-    RECOVER_ROLLFORWARD = "recover_rollforward"
-    RECOVER_ROLLBACK = "recover_rollback"
-    RECOVER_COMPLETE = "recover_complete"
-    CLUSTER_READ = "cluster_read"
-    CLUSTER_WRITE = "cluster_write"
-    CLUSTER_FAILOVER = "cluster_failover"
-    CLUSTER_HEDGE = "cluster_hedge"
-    CLUSTER_MIGRATE = "cluster_migrate"
-    CLUSTER_NODE_STATUS = "cluster_node_status"
-    INDEX_INSERT = "index_insert"
-    INDEX_FLUSH = "index_flush"
-    INDEX_COMPACT = "index_compact"
-    SEARCH_QUERY = "search_query"
-    SEARCH_SHARD = "search_shard"
-    COMPRESS_ENCODE = "compress_encode"
-    COMPRESS_DECODE = "compress_decode"
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,9 +76,9 @@ class TraceEvent:
 class Trace:
     """Append-only log of :class:`TraceEvent` records.
 
-    ``record`` is thread-safe: frontend workers, cluster nodes and the
-    workstation all append to shared traces concurrently, and readers
-    (``of_kind``, ``last``, iteration) always see a coherent snapshot.
+    ``record`` is thread-safe, and readers (``of_kind``, ``last``,
+    iteration) always see a coherent snapshot while other threads
+    append.
     """
 
     def __init__(self) -> None:

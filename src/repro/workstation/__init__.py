@@ -7,7 +7,7 @@ time, a :class:`~repro.workstation.screen.Screen` models the display
 (page regions, pinned logical messages, transparency compositing), an
 :class:`~repro.workstation.audio_out.AudioOutput` models the speaker,
 and every observable action is appended to a
-:class:`~repro.workstation.events.Trace`.  Tests and benchmarks assert
+:class:`~repro.trace.Trace`.  Tests and benchmarks assert
 against the trace, which plays the role of "what the user saw and
 heard".
 """

@@ -2,12 +2,16 @@
 
 Codec and frame units, the archiver/formatter integration (compressed
 platter extents, raw windowed bitmaps, off-switch byte behaviour), the
-metrics surface (CompressionMetrics, DiskStats, ServerMetrics,
-COMPRESS_* trace events), and the hard-vs-transient decode error
+metrics surface (CompressionMetrics, DiskStats), the decode bounds
+against crafted frames, and the hard-vs-transient decode error
 contract.
 """
 
 from __future__ import annotations
+
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -52,9 +56,7 @@ from repro.objects import (
 )
 from repro.scenarios.office import build_office_document
 from repro.server.archiver import Archiver, CachingArchiver
-from repro.server.metrics import ServerMetrics
 from repro.storage.cache import LRUCache
-from repro.trace import EventKind, Trace
 
 
 @pytest.fixture
@@ -175,6 +177,13 @@ class TestCodecs:
         with pytest.raises(MediaCodecError, match="overflows"):
             dvarint_decode(b"\x05\x00" + b"\x80" * 6 + b"\x01", 4)
 
+    def test_dvarint_six_byte_varint_rejected(self):
+        # A run of 3 padded out to six varint bytes.  The run fits the
+        # piece, but five bytes (35 bits) already cover any u32 length,
+        # and a sixth would let a run ask for up to 2**42 bytes.
+        with pytest.raises(MediaCodecError, match="overflows"):
+            dvarint_decode(b"\x05\x00\x83\x80\x80\x80\x80\x00", 4)
+
 
 # ----------------------------------------------------------------------
 # frame format
@@ -246,6 +255,61 @@ class TestFrame:
         frame, _ = encode_piece(b"", "image")
         assert len(frame) == HEADER_SIZE
         assert decode_frame(frame) == (b"", STORED) or maybe_decode(frame) == b""
+
+
+# ----------------------------------------------------------------------
+# decode bounds: a valid CRC does not make a frame's claims trustworthy
+# ----------------------------------------------------------------------
+
+
+def _frame(codec_id: int, raw_len: int, payload: bytes) -> bytes:
+    """A frame around any payload, with a CRC that checks out."""
+    crc = zlib.crc32(payload, zlib.crc32(struct.pack(">BI", codec_id, raw_len)))
+    return (
+        struct.pack(">4sBI", FRAME_MAGIC, codec_id, raw_len)
+        + struct.pack(">I", crc)
+        + payload
+    )
+
+
+def _rejected_with_peak(frame: bytes) -> int:
+    """Decode a frame that must fail; return the peak bytes allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MediaCodecError, match="expands past"):
+            decode_frame(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestDecodeBounds:
+    def test_dvarint_zero_run_rejected_before_allocation(self):
+        # A literal, then a zero-run of 64 MiB (varint 80 80 80 20),
+        # declared as a 16-byte piece: 19 bytes in all.
+        frame = _frame(DVARINT, 16, b"\x05\x00\x80\x80\x80\x20")
+        assert len(frame) == 19
+        assert _rejected_with_peak(frame) < 1 << 20
+
+    def test_deflate_bomb_rejected_before_allocation(self):
+        # ~65 KB of deflate that inflates to 64 MiB, declared as 16 bytes.
+        deflater = zlib.compressobj(9)
+        zeros = bytes(1 << 20)
+        payload = b"".join(deflater.compress(zeros) for _ in range(64))
+        payload += deflater.flush()
+        assert _rejected_with_peak(_frame(DEFLATE, 16, payload)) < 1 << 20
+
+    def test_deflate_stream_must_finish_trailing_bytes_ignored(self):
+        raw = b"text markup " * 20
+        payload = zlib.compress(raw)
+        # Without its Adler-32 trailer the stream inflates every byte
+        # but never reaches its end.
+        with pytest.raises(MediaCodecError, match="truncated"):
+            decode_frame(_frame(DEFLATE, len(raw), payload[:-4]))
+        assert decode_frame(_frame(DEFLATE, len(raw), payload + b"tail")) == (
+            raw, DEFLATE,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -383,10 +447,9 @@ class TestMetrics:
         assert stats.media_ratio > 1.0
 
     def test_compression_metrics_and_trace(self, generator):
-        trace = Trace()
         from repro.compress import CompressionMetrics
 
-        metrics = CompressionMetrics(trace)
+        metrics = CompressionMetrics()
         archiver = Archiver(compression_metrics=metrics)
         obj = _visual_object(generator)
         archiver.store(obj)
@@ -398,20 +461,6 @@ class TestMetrics:
         assert snap.overall_ratio > 1.0
         assert snap.total_raw > snap.total_stored
         assert "rle8" in snap.ratios and snap.ratios["rle8"].count >= 1
-        assert trace.of_kind(EventKind.COMPRESS_ENCODE)
-        assert trace.of_kind(EventKind.COMPRESS_DECODE)
-
-    def test_server_metrics_snapshot_fields(self, generator):
-        server_metrics = ServerMetrics()
-        archiver = Archiver(server_metrics=server_metrics)
-        obj = _visual_object(generator)
-        archiver.store(obj)
-        archiver.fetch_object(obj.object_id)
-        snap = server_metrics.snapshot()
-        assert snap.media_raw_bytes > snap.media_stored_bytes > 0
-        assert snap.media_ratio > 1.0
-        assert sum(snap.compress_encodes.values()) >= 2
-        assert sum(snap.compress_decodes.values()) >= 1
 
     def test_office_document_compresses(self):
         archiver = Archiver()

@@ -38,7 +38,6 @@ from repro.errors import (
 )
 from repro.scenarios.library import build_object_library
 from repro.server.archiver import Archiver
-from repro.trace import EventKind
 
 # mu-law: one byte per sample, so 8000 B/s at telephone rate, and a
 # 4000-byte chunk is exactly half a second of speech.
@@ -274,7 +273,7 @@ class TestBatchedPrefetch:
         report = pipeline.run(scripts)
         assert report.streams_completed == 3
         assert report.underruns == 0
-        assert metrics.trace.of_kind(EventKind.DELIVERY_PREFETCH)
+        assert metrics.snapshot().prefetch_issued > 0
         assert report.prefetched_page_hits > 0
         # The read-ahead really went through scatter-gather sweeps.
         assert sweeps and max(sweeps) >= 1
@@ -283,16 +282,11 @@ class TestBatchedPrefetch:
 class TestPipelineInstrumentation:
     def test_delivery_trace_events_recorded(self, small_pipeline_run):
         _, metrics, _ = small_pipeline_run
-        trace = metrics.trace
-        assert trace.of_kind(EventKind.DELIVERY_START)
-        assert trace.of_kind(EventKind.DELIVERY_CHUNK)
-        assert trace.of_kind(EventKind.DELIVERY_PAGE)
-        assert trace.of_kind(EventKind.DELIVERY_PREFETCH)
-        starts = trace.of_kind(EventKind.DELIVERY_START)
-        assert {e.detail["station"] for e in starts} == {"ws-0", "ws-1", "ws-2"}
-        # Trace times are simulated seconds, monotone per recording order.
-        times = [e.time for e in trace.of_kind(EventKind.DELIVERY_CHUNK)]
-        assert times == sorted(times)
+        snap = metrics.snapshot()
+        assert snap.streams_started == 3
+        assert snap.chunks_delivered > 0
+        assert snap.page_turns > 0
+        assert snap.prefetch_issued > 0
 
     def test_delivery_histograms_populated(self, small_pipeline_run):
         report, metrics, _ = small_pipeline_run

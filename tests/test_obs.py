@@ -499,6 +499,7 @@ class TestDeliverySpans:
         streams = [s for s in obs if s.name == "stream"]
         assert len(streams) == 2
         assert all(s.kind is SpanKind.DELIVERY for s in streams)
+        assert {s.context.item("station") for s in streams} == {"ws-0", "ws-1"}
         page_turns = [s for s in obs if s.name == "page_turn"]
         assert len(page_turns) == report.page_turns
         underruns = [s for s in obs if s.name == "underrun"]
@@ -646,6 +647,34 @@ class TestAcceptanceColdOpenOverCluster:
         assert "route:fetch_object" in render_text(restored)
 
 
+class TestFailoverSpans:
+    def test_down_primary_attempt_is_retried_then_next_replica_serves(self):
+        scratch = Archiver()
+        objects = build_object_library(scratch, visual_count=2, audio_count=0)
+        router = ClusterRouter([ClusterNode(i) for i in range(3)], replication=2)
+        for obj in objects:
+            router.store(obj)
+        obs = SpanRecorder()
+        router.obs = obs
+        object_id = objects[0].object_id
+        primary, secondary = router.replica_set(object_id)
+        router.node(primary).mark_down()
+        # A fresh router's first read tries the replica set in ring
+        # order, so the down primary is attempted first.
+        router.fetch_object(object_id)
+        (route,) = [s for s in obs if s.name == "route:fetch_object"]
+        attempts = sorted(
+            (s for s in obs if s.parent_id == route.span_id),
+            key=lambda s: s.span_id,
+        )
+        assert [(s.name, s.attrs["node"], s.status) for s in attempts] == [
+            ("cluster:read", primary, SpanStatus.RETRIED),
+            ("cluster:read", secondary, SpanStatus.OK),
+        ]
+        assert route.status is SpanStatus.OK
+        assert route.attrs["served_by"] == secondary
+
+
 class TestRebalanceSpans:
     def test_migration_steps_emit_migrate_spans(self):
         scratch = Archiver()
@@ -657,7 +686,7 @@ class TestRebalanceSpans:
         obs = SpanRecorder()
         router.obs = obs
         rebalancer = Rebalancer(router)
-        queued = rebalancer.join(ClusterNode(2), now_s=5.0)
+        queued = rebalancer.join(ClusterNode(2))
         report = rebalancer.run(now_s=5.0)
         migrations = [s for s in obs if s.kind is SpanKind.MIGRATE]
         assert queued > 0

@@ -12,7 +12,12 @@ production surface?" drift checks:
   shipping an unexercised failure path.
 * **trace** — every :class:`repro.trace.EventKind` member is both
   emitted somewhere under ``src/`` and documented in the event table
-  of ``docs/OBSERVABILITY.md``, catching dead kinds and doc drift.
+  of ``docs/OBSERVABILITY.md``, catching dead kinds and doc drift; and
+  no module outside the presentation layers (``repro/core/``,
+  ``repro/workstation/``, ``repro/audio/``) names ``EventKind``, so
+  server, cluster, delivery, index and codec work is counted in
+  metrics and spans instead of leaking onto the paper's observable
+  surface.
 
 Usage::
 
@@ -36,6 +41,11 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 DOCS_TABLE = REPO / "docs" / "OBSERVABILITY.md"
+#: The only places under src/ that may name ``EventKind``: the layers
+#: that present to the user, the trace module itself, and the package
+#: root, which re-exports it as public API.
+TRACE_LAYERS = ("repro/core/", "repro/workstation/", "repro/audio/")
+TRACE_MODULES = ("repro/trace.py", "repro/__init__.py")
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +129,19 @@ def emitted_kind_names() -> set[str]:
     return names
 
 
+def off_surface_modules() -> list[str]:
+    """src/ modules outside the presentation layers that name EventKind."""
+    pattern = re.compile(r"\bEventKind\b")
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module in TRACE_MODULES or module.startswith(TRACE_LAYERS):
+            continue
+        if pattern.search(path.read_text()):
+            offenders.append(module)
+    return offenders
+
+
 def documented_kind_names() -> set[str]:
     """Kinds listed in the docs/OBSERVABILITY.md event table."""
     if not DOCS_TABLE.exists():
@@ -154,10 +177,23 @@ def check_trace() -> bool:
             print(f"  - {name}")
         print("add them to the event-kind table in docs/OBSERVABILITY.md.")
 
+    off_surface = off_surface_modules()
+    if off_surface:
+        ok = False
+        print("EventKind named outside the presentation layers:")
+        for module in off_surface:
+            print(f"  - src/{module}")
+        print(
+            "the Trace holds only what reaches the screen and speaker; "
+            "count layer-internal work in the layer's metrics and record "
+            "its causality as spans."
+        )
+
     if ok:
         print(
             f"ok: {len(kinds)} event kinds all emitted in src/ and "
-            "documented in docs/OBSERVABILITY.md"
+            "documented in docs/OBSERVABILITY.md; EventKind named only "
+            "in the presentation layers"
         )
     return ok
 
