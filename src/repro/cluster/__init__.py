@@ -27,7 +27,6 @@ __all__ = [
     "ClusterNode",
     "NodeStatus",
     "ClusterRouter",
-    "ClusterLoadReport",
     "RouterFuture",
     "StoreOutcome",
     "replay_cluster",
@@ -43,7 +42,6 @@ _LAZY = {
     "ClusterNode": "repro.cluster.node",
     "NodeStatus": "repro.cluster.node",
     "ClusterRouter": "repro.cluster.router",
-    "ClusterLoadReport": "repro.cluster.router",
     "RouterFuture": "repro.cluster.router",
     "StoreOutcome": "repro.cluster.router",
     "replay_cluster": "repro.cluster.router",

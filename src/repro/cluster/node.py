@@ -96,8 +96,6 @@ class ClusterNode:
         )
         self._status = NodeStatus.UP
         self._lock = threading.Lock()
-        #: Requests currently admitted (join-shortest-queue signal).
-        self.inflight = 0
         #: Total requests served (reads + writes + migrations).
         self.served = 0
 
@@ -254,15 +252,12 @@ class ClusterNode:
         if op not in NODE_OPS:
             raise ClusterError(f"unknown node operation {op!r}")
         self._guard()
-        with self._lock:
-            self.inflight += 1
         try:
             result = getattr(self._archiver, op)(*params)
         except SimulatedCrash as crash:
             raise self._died("serving a read") from crash
         finally:
             with self._lock:
-                self.inflight -= 1
                 self.served += 1
         if op == "fetch":
             return result, result.service_time_s

@@ -18,18 +18,17 @@ Only when every replica is exhausted does the client see an error —
 and it sees a *retryable* one if any replica failed transiently, so
 :func:`repro.delivery.pipeline.fetch_with_retry` composes unchanged.
 
-:func:`replay_cluster` is the cluster analogue of
-:func:`repro.server.loadgen.replay_virtual`: a deterministic
-virtual-time replay with one device timeline per node,
+:func:`replay_cluster` is the deterministic virtual-time replay behind
+the C-CLUSTER benchmark, and through
+:func:`repro.server.loadgen.replay_virtual` (its one-node case) behind
+C-CONC: one :class:`~repro.storage.blockdev.DeviceTimeline` per node,
 join-shortest-queue replica choice, optional per-node caches, and
-optional hedged reads — the engine behind the C-CLUSTER benchmark.
+optional hedged reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.node import ClusterNode
@@ -46,8 +45,8 @@ from repro.obs.context import bind as bind_span
 from repro.obs.context import current as current_span
 from repro.obs.spans import SpanKind as ObsSpanKind
 from repro.obs.spans import SpanStatus as ObsSpanStatus
-from repro.server.loadgen import LoadRequest
-from repro.server.metrics import percentile as shared_percentile
+from repro.server.loadgen import LoadReport, LoadRequest
+from repro.storage.blockdev import DeviceTimeline, Extent
 from repro.storage.cache import LRUCache
 
 #: Per-replica failures the read path fails over on.  A missing copy is
@@ -664,56 +663,6 @@ class ClusterRouter:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class ClusterLoadReport:
-    """Aggregate outcome of :func:`replay_cluster`."""
-
-    latencies: list[float] = field(default_factory=list)
-    failed_reads: int = 0
-    failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    cache_hits: int = 0
-    piggybacks: int = 0
-    #: node id -> reads served there.
-    node_reads: dict[int, int] = field(default_factory=dict)
-    #: node id -> simulated busy seconds on that node's device.
-    node_busy_s: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    def percentile(self, p: float) -> float:
-        return shared_percentile(self.latencies, p)
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p95_s(self) -> float:
-        return self.percentile(95)
-
-    @property
-    def mean_s(self) -> float:
-        return float(np.mean(self.latencies)) if self.latencies else 0.0
-
-
-class _NodeTimeline:
-    """Virtual device state for one node during a replay."""
-
-    __slots__ = ("node", "geometry", "device_free", "head", "cache", "flights")
-
-    def __init__(self, node: ClusterNode, cache_bytes: int | None) -> None:
-        self.node = node
-        self.geometry = node.archiver.disk.geometry
-        self.device_free = 0.0
-        self.head = 0
-        self.cache = LRUCache(cache_bytes) if cache_bytes else None
-        self.flights: dict[str, float] = {}
-
-
 def replay_cluster(
     router: ClusterRouter,
     schedule: list[LoadRequest],
@@ -721,20 +670,21 @@ def replay_cluster(
     cache_bytes: int | None = None,
     hedge_fraction: float | None = None,
     hedge_floor_s: float = 0.05,
-) -> ClusterLoadReport:
+) -> LoadReport:
     """Replay a schedule against the cluster in virtual time.
 
-    The cluster analogue of
-    :func:`repro.server.loadgen.replay_virtual`: each node is an
-    independent FIFO device timeline with its own head position and
-    optional LRU cache.  For every request the router's replica set is
-    consulted; replicas that are down, faulted, or missing the copy
-    are failed over (``cluster.node_crash`` fires on each considered
-    node's own fault plan, so an armed crash kills exactly the node —
-    and only the node — the plan targets).  Among the healthy replicas
-    the *shortest queue* serves — the load-balance rule that makes
-    N nodes behave like an N-server queue instead of N/1 independent
-    ones.
+    Each node is a :class:`~repro.storage.blockdev.DeviceTimeline`: an
+    independent FIFO device with its own head position and, with
+    ``cache_bytes`` set, its own staging LRU.  For every request the
+    router's replica set is consulted; replicas that are down, faulted,
+    or missing the copy are failed over (``cluster.node_crash`` fires
+    on each considered node's own fault plan, so an armed crash kills
+    exactly the node — and only the node — the plan targets).  A copy
+    staged on a healthy replica serves first: the earliest ready one,
+    free once its read has landed, a piggyback on that read while it is
+    still in flight.  Otherwise the *shortest queue* among the healthy
+    replicas serves — the load-balance rule that makes N nodes behave
+    like an N-server queue instead of N/1 independent ones.
 
     With ``hedge_fraction`` set, a request whose predicted wait on the
     chosen node exceeds ``hedge_floor_s + hedge_fraction ×`` (its own
@@ -746,121 +696,90 @@ def replay_cluster(
     archiver is only consulted for extents, so the replay is
     O(requests).
     """
-    timelines = {
-        node_id: _NodeTimeline(node, cache_bytes)
+    devices = {
+        node_id: DeviceTimeline(
+            node.archiver.disk.geometry,
+            LRUCache(cache_bytes) if cache_bytes else None,
+        )
         for node_id, node in router.nodes.items()
     }
-    report = ClusterLoadReport()
-    for node_id in router.nodes:
-        report.node_reads[node_id] = 0
-        report.node_busy_s[node_id] = 0.0
+    report = LoadReport(node_reads=dict.fromkeys(devices, 0))
     metrics = router.metrics
 
     for request in sorted(schedule, key=lambda r: (r.arrival_s, r.request_id)):
         arrival = request.arrival_s
         key = f"obj/{request.object_id}"
-        replicas = router.placement.replica_set(request.object_id)
 
         # Probe replicas in ring order: each probe passes the node's
         # serve guard, so an armed node crash fires here and the dead
         # replica is failed over, not counted as a failed read.
-        candidates: list[tuple[_NodeTimeline, object]] = []
-        for node_id in replicas:
-            timeline = timelines.get(node_id)
-            if timeline is None:
+        candidates: list[tuple[int, Extent]] = []
+        for node_id in router.placement.replica_set(request.object_id):
+            node = router.nodes.get(node_id)
+            if node is None:
                 continue
             try:
-                record = timeline.node.record(request.object_id)
+                extent = node.record(request.object_id).extent
             except FAILOVER_ERRORS:
-                node = timeline.node
                 if not node.is_up and node_id not in router._seen_down:
                     router._seen_down.add(node_id)
                     metrics.on_node_status(node_id, "down")
                 report.failovers += 1
                 metrics.on_failover()
                 continue
-            candidates.append((timeline, record.extent))
+            candidates.append((node_id, extent))
 
         if not candidates:
             report.failed_reads += 1
             metrics.on_read_failed()
             continue
 
-        # Cheapest outcomes first: a cache hit or an in-flight
-        # piggyback on any healthy replica beats touching a device.
-        hit = next(
+        staged = min(
             (
-                (t, e) for t, e in candidates
-                if t.cache is not None and t.cache.get(key) is not None
+                (ready, node_id) for node_id, _ in candidates
+                if (ready := devices[node_id].staged(key, arrival)) is not None
             ),
-            None,
-        )
-        flight = min(
-            (t for t, _ in candidates if t.flights.get(key, 0.0) > arrival),
-            key=lambda t: (t.flights[key], t.node.node_id),
             default=None,
         )
-        if flight is not None:
-            timeline = flight
-            finish = timeline.flights[key]
-            latency = finish - arrival
-            report.piggybacks += 1
-            served_by, service = timeline.node.node_id, 0.0
-        elif hit is not None:
-            timeline, _ = hit
-            latency = 0.0
-            report.cache_hits += 1
-            served_by, service = timeline.node.node_id, 0.0
+        if staged is not None:
+            finish, served_by = staged
+            service = 0.0
+            if finish > arrival:
+                report.piggybacks += 1
+            else:
+                report.cache_hits += 1
         else:
             # Join the shortest queue among healthy replicas.
-            candidates.sort(
-                key=lambda pair: (pair[0].device_free, pair[0].node.node_id)
-            )
-            timeline, extent = candidates[0]
-            start = max(timeline.device_free, arrival)
-            service = timeline.geometry.access_time(timeline.head, extent)
-            finish = start + service
-            hedged = False
+            candidates.sort(key=lambda c: (devices[c[0]].free_s, c[0]))
+            served_by, extent = candidates[0]
+            device = devices[served_by]
+            service = device.service_time(extent)
+            _, finish = device.charge(arrival, service, extent)
+            if device.cache is not None:
+                device.stage(key, finish, bytes(extent.length))
             if hedge_fraction is not None and len(candidates) > 1:
                 deadline = arrival + hedge_floor_s + hedge_fraction * service
                 if finish > deadline:
-                    alt, alt_extent = candidates[1]
-                    alt_start = max(alt.device_free, arrival)
-                    alt_service = alt.geometry.access_time(
-                        alt.head, alt_extent
-                    )
-                    alt_finish = alt_start + alt_service
                     # Hedges are not free: both devices do the work.
-                    _charge(report, alt, alt_extent, alt_start, alt_service)
+                    alt_id, alt_extent = candidates[1]
+                    alt = devices[alt_id]
+                    _, alt_finish = alt.charge(
+                        arrival, alt.service_time(alt_extent), alt_extent
+                    )
                     report.hedges += 1
                     won = alt_finish < finish
                     metrics.on_hedge(won)
                     if won:
                         report.hedge_wins += 1
-                    hedged = True
-                    winner_finish = min(finish, alt_finish)
-            _charge(report, timeline, extent, start, service)
-            if timeline.cache is not None:
-                timeline.cache.put(key, bytes(extent.length))
-                timeline.flights[key] = finish
-            if hedged:
-                finish = winner_finish
-            latency = finish - arrival
-            served_by = timeline.node.node_id
+                    finish = min(finish, alt_finish)
+        latency = finish - arrival
         report.latencies.append(latency)
+        report.service_s.append(service)
         report.node_reads[served_by] += 1
         metrics.on_read(served_by, latency)
+    report.node_busy_s = {
+        node_id: device.busy_s for node_id, device in devices.items()
+    }
+    report.device_busy_s = sum(report.node_busy_s.values())
+    report.device_reads = sum(device.reads for device in devices.values())
     return report
-
-
-def _charge(
-    report: ClusterLoadReport,
-    timeline: _NodeTimeline,
-    extent,
-    start: float,
-    service: float,
-) -> None:
-    """Charge one device read to a node's virtual timeline."""
-    timeline.device_free = start + service
-    timeline.head = extent.end
-    report.node_busy_s[timeline.node.node_id] += service

@@ -19,10 +19,12 @@ Two delivery policies bracket the paper's Section-5 claim:
     boundaries, bulk served fair), and browse-direction prefetch of
     the next pages into the shared cache *and* onward to the station.
 
-The replay is a deterministic discrete-event simulation (same stance
-as :func:`repro.server.loadgen.replay_virtual`): one shared device
-served FIFO in issue order, one shared medium arbitrated by the chunk
-scheduler, all latencies in simulated seconds.
+The replay is a deterministic discrete-event simulation: one shared
+device served FIFO in issue order — the
+:class:`~repro.storage.blockdev.DeviceTimeline` that the C-CONC and
+C-CLUSTER replays charge too, staging cache and single-flight included
+— one shared medium arbitrated by the chunk scheduler, all latencies in
+simulated seconds.
 """
 
 from __future__ import annotations
@@ -64,8 +66,13 @@ from repro.server.archiver import Archiver, CachingArchiver
 from repro.server.frontend import ServerFrontend
 from repro.server.metrics import percentile as shared_percentile
 from repro.server.network import NetworkLink
-from repro.storage.blockdev import Extent
+from repro.storage.blockdev import DeviceTimeline, Extent
 from repro.storage.cache import LRUCache
+
+
+#: Spacing between successive read-ahead issues after a page view, so
+#: prefetch trickles behind the foreground traffic.
+PREFETCH_STAGGER_S = 0.25
 
 
 class DeliveryPolicy(Enum):
@@ -90,9 +97,6 @@ class DeliveryConfig:
     #: amortized over the batch).
     batch_chunks: int = 4
     prefetch_depth: int = 2
-    #: Spacing between successive read-ahead issues after a page view,
-    #: so prefetch trickles behind the foreground traffic.
-    prefetch_stagger_s: float = 0.25
     link: NetworkLink = field(default_factory=NetworkLink)
     cache_bytes: int = 8_000_000
 
@@ -321,6 +325,7 @@ class DeliveryPipeline:
             archiver.archiver if isinstance(archiver, CachingArchiver) else archiver
         )
         self.cache = LRUCache(self.config.cache_bytes)
+        self._device = DeviceTimeline(self._archiver.disk.geometry, self.cache)
         self.metrics = metrics if metrics is not None else DeliveryMetrics()
         self.link = SharedLink(self.config.link)
         self._sched = ChunkScheduler(self.config.discipline)
@@ -331,13 +336,7 @@ class DeliveryPipeline:
         self._order = itertools.count()
         self._chunk_seq = itertools.count()
         self._now = 0.0
-        self._device_free = 0.0
-        self._device_busy = 0.0
         self._link_busy = False
-        #: When the bytes behind a cache key become available in
-        #: simulated time (single-flight: a hit on an in-flight key
-        #: piggybacks on the fetch instead of being instantly ready).
-        self._key_ready: dict[str, float] = {}
         self._sessions: dict[str, StreamSession] = {}
         self._next_audio_seq: dict[str, int] = {}
         #: (station, object_id, page) -> how the page got here.
@@ -411,7 +410,7 @@ class DeliveryPipeline:
         for active in self._prefetch_spans.values():
             active.finish(self._now, status=ObsSpanStatus.CANCELLED)
         self._prefetch_spans.clear()
-        report.device_busy_s = self._device_busy
+        report.device_busy_s = self._device.busy_s
         report.link_busy_s = self.link.stats.busy_s
         report.link_wait_s = self.link.stats.contention_wait_s
         report.chunks_delivered = self.link.stats.chunks_sent
@@ -477,7 +476,7 @@ class DeliveryPipeline:
         base = self._archiver.data_extent(session.object_id, session.tag)
         start_byte = chunks[0].offset
         length = chunks[-1].offset + chunks[-1].length - start_byte
-        ready = self._device_read(
+        _, ready = self._device_read(
             Extent(base.offset + start_byte, length),
             parent=self._stream_ctx.get(station),
         )
@@ -499,7 +498,7 @@ class DeliveryPipeline:
         session = self._sessions[station]
         chunk = session.chunk(seq)
         base = self._archiver.data_extent(session.object_id, session.tag)
-        ready = self._device_read(
+        _, ready = self._device_read(
             Extent(base.offset + chunk.offset, chunk.length),
             parent=self._stream_ctx.get(station),
         )
@@ -576,66 +575,11 @@ class DeliveryPipeline:
             tasks = self._prefetcher.observe_view(
                 station, view.object_id, view.page, extents
             )
-            if self.config.prefetch_stagger_s <= 0.0:
-                # No trickle requested: issue the whole plan as one
-                # scatter-gather device sweep (one seek pattern for the
-                # read-ahead window instead of one per page).
-                if tasks:
-                    self._schedule(self._now, "prefetch_batch", tasks)
-            else:
-                for index, task in enumerate(tasks):
-                    self._schedule(
-                        self._now + (index + 1) * self.config.prefetch_stagger_s,
-                        "prefetch", task,
-                    )
-
-    def _on_prefetch_batch(self, tasks: list) -> None:
-        wanted = []
-        for task in tasks:
-            page_key = (task.station, str(task.object_id), task.page)
-            pending = (
-                task.station, task.generation, str(task.object_id), task.page
-            )
-            if page_key in self._page_store or pending in self._pending_prefetch:
-                continue  # already at (or in flight to) the station
-            wanted.append(task)
-        if not wanted:
-            return
-        payloads, service = self._prefetcher.execute_batch(wanted)
-        # One device occupancy for the whole sweep; every fetched range
-        # becomes ready when the sweep completes.
-        if service > 0.0:
-            start = max(self._device_free, self._now)
-            sweep_ready = start + service
-            self._device_free = sweep_ready
-            self._device_busy += service
-        else:
-            sweep_ready = self._now
-        for task, data in zip(wanted, payloads):
-            if data is None:
-                continue  # cancelled by a jump; nothing was published
-            key = task.cache_key()
-            if service > 0.0:
-                self._key_ready[key] = sweep_ready
-                ready = sweep_ready
-            else:
-                ready = max(self._now, self._key_ready.get(key, self._now))
-            page_key = (task.station, str(task.object_id), task.page)
-            pending = (
-                task.station, task.generation, str(task.object_id), task.page
-            )
-            self.metrics.on_prefetch()
-            self._start_prefetch_span(task, pending)
-            total = self._split_bulk(
-                task.station, task.length, ready,
-                {
-                    "kind": "prefetch",
-                    "generation": task.generation,
-                    "page_key": page_key,
-                    "pending_key": pending,
-                },
-            )
-            self._pending_prefetch[pending] = total
+            for index, task in enumerate(tasks):
+                self._schedule(
+                    self._now + (index + 1) * PREFETCH_STAGGER_S,
+                    "prefetch", task,
+                )
 
     def _on_prefetch(self, task) -> None:
         page_key = (task.station, str(task.object_id), task.page)
@@ -646,19 +590,15 @@ class DeliveryPipeline:
         if data is None:
             return
         if service > 0.0:
-            # execute() read the device directly; serialize that read
-            # on the shared device timeline like every other fetch.
-            start = max(self._device_free, self._now)
-            ready = start + service
-            self._device_free = ready
-            self._device_busy += service
-            self._key_ready[task.cache_key()] = ready
+            # execute() read the device and published the bytes;
+            # serialize that read on the shared device timeline like
+            # every other fetch.
+            _, ready = self._device.charge(self._now, service)
+            self._device.stage(task.cache_key(), ready)
         else:
             # Served from the shared cache: no device work, but honour
             # an in-flight fetch of the same key.
-            ready = max(
-                self._now, self._key_ready.get(task.cache_key(), self._now)
-            )
+            ready = self._device.ready_at(task.cache_key(), self._now)
         self.metrics.on_prefetch()
         self._start_prefetch_span(task, pending)
         total = self._split_bulk(
@@ -784,20 +724,17 @@ class DeliveryPipeline:
 
     def _device_read(
         self, extent: Extent, *, parent: SpanContext | None = None
-    ) -> float:
-        """FIFO device read; returns the simulated completion time."""
-        start = max(self._device_free, self._now)
-        _, service = self._archiver.read_raw(extent)
-        ready = start + service
-        self._device_free = ready
-        self._device_busy += service
+    ) -> tuple[bytes, float]:
+        """FIFO device read; returns the bytes and their ready time."""
+        data, service = self._archiver.read_raw(extent)
+        start, ready = self._device.charge(self._now, service)
         if self.obs is not None:
             self.obs.emit(
                 parent if parent is not None else current_span(),
                 "device_read", ObsSpanKind.DEVICE, start, ready,
                 bytes=extent.length,
             )
-        return ready
+        return data, ready
 
     def _fetch_cached(
         self, object_id: ObjectId, tag: str, start: int, length: int
@@ -809,9 +746,8 @@ class DeliveryPipeline:
         device and publishes for everyone.
         """
         key = piece_range_key(object_id, tag, start, length)
-        cached = self.cache.get(key)
-        if cached is not None:
-            ready = max(self._now, self._key_ready.get(key, self._now))
+        ready = self._device.staged(key, self._now)
+        if ready is not None:
             if self.obs is not None:
                 self.obs.emit(
                     current_span(), "staging_cache", ObsSpanKind.CACHE,
@@ -824,20 +760,8 @@ class DeliveryPipeline:
                 f"range [{start}, {start + length}) exceeds piece "
                 f"{tag!r} of length {base.length}"
             )
-        data_start = max(self._device_free, self._now)
-        data, service = self._archiver.read_raw(
-            Extent(base.offset + start, length)
-        )
-        ready = data_start + service
-        self._device_free = ready
-        self._device_busy += service
-        self.cache.put(key, data)
-        self._key_ready[key] = ready
-        if self.obs is not None:
-            self.obs.emit(
-                current_span(), "device_read", ObsSpanKind.DEVICE,
-                data_start, ready, bytes=length,
-            )
+        data, ready = self._device_read(Extent(base.offset + start, length))
+        self._device.stage(key, ready, data)
         return ready
 
     def _split_bulk(

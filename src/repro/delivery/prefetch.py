@@ -211,55 +211,3 @@ class Prefetcher:
         self._cache.put(task.cache_key(), data)
         self.stats.executed += 1
         return data, service
-
-    def execute_batch(
-        self, tasks: list[PrefetchTask]
-    ) -> tuple[list[bytes | None], float]:
-        """Run a whole read-ahead plan as one scatter-gather device sweep.
-
-        The cancellation contract of :meth:`execute` holds per task:
-        tasks stale before the sweep contribute no device work; a jump
-        landing *during* the sweep is caught by a per-task re-gate
-        before publish, so no stale entry ever reaches the cache (the
-        bytes are simply dropped).  Already-staged ranges are served
-        from the cache without touching the device.  Returns per-task
-        payloads (None for cancelled tasks, position-matched to
-        ``tasks``) and the total device service time of the sweep.
-        """
-        results: list[bytes | None] = [None] * len(tasks)
-        pending: list[int] = []
-        for index, task in enumerate(tasks):
-            if not self.is_current(task):
-                self.stats.cancelled += 1
-                continue
-            cached = self._cache.get(task.cache_key())
-            if cached is not None:
-                self.stats.already_cached += 1
-                self.stats.executed += 1
-                results[index] = cached
-                continue
-            pending.append(index)
-        if not pending:
-            return results, 0.0
-        ranges: list[tuple[int, int]] = []
-        for index in pending:
-            task = tasks[index]
-            extent = self._archiver.data_extent(task.object_id, task.tag)
-            if task.start < 0 or task.start + task.length > extent.length:
-                raise DeliveryError(
-                    f"prefetch range [{task.start}, {task.start + task.length}) "
-                    f"exceeds piece {task.tag!r} of length {extent.length}"
-                )
-            ranges.append((extent.offset + task.start, task.length))
-        payloads, service = self._archiver.read_scattered_raw(ranges)
-        for index, data in zip(pending, payloads):
-            task = tasks[index]
-            # Same per-task gate as execute(): publish only if no jump
-            # landed while the sweep was on the device.
-            if not self.is_current(task):
-                self.stats.cancelled += 1
-                continue
-            self._cache.put(task.cache_key(), data)
-            self.stats.executed += 1
-            results[index] = data
-        return results, service

@@ -1,11 +1,11 @@
-"""Content access methods.
+"""Content access methods: the attribute index.
 
 "Users submit queries based on object content from their workstation.
 The queries are evaluated by the server subsystem against the
-multimedia data base."  The index covers the three content sources the
-paper names: attributes, text terms, and recognized voice terms — the
-last being what makes voice content-addressable "by using the same
-access methods as in text".
+multimedia data base."  Content terms — text, recognized voice and
+image labels — are served by the archive-wide
+:class:`~repro.index.ArchiveIndex`; this module keeps the other access
+method the paper names, exact-match lookup on descriptor attributes.
 """
 
 from __future__ import annotations
@@ -16,14 +16,12 @@ from repro.errors import QueryError
 from repro.ids import ObjectId
 from repro.objects.attributes import AttributeValue
 from repro.objects.model import MultimediaObject
-from repro.text.search import tokenize
 
 
 class ContentIndex:
-    """Inverted indexes over a collection of archived objects."""
+    """Inverted attribute index over a collection of archived objects."""
 
     def __init__(self) -> None:
-        self._term_index: dict[str, set[ObjectId]] = defaultdict(set)
         self._attribute_index: dict[tuple[str, AttributeValue], set[ObjectId]] = (
             defaultdict(set)
         )
@@ -35,56 +33,11 @@ class ContentIndex:
     def __contains__(self, object_id: ObjectId) -> bool:
         return object_id in self._indexed
 
-    def index_object(self, obj: MultimediaObject) -> int:
-        """Index one object; returns the number of distinct terms added.
-
-        Text terms come from every text segment's plain text; voice
-        terms from every voice segment's recognized utterances; label
-        terms from image labels (useful for locating objects such as
-        "the road map with a hospital on it").
-        """
-        terms: set[str] = set()
-        for segment in obj.text_segments:
-            terms.update(term for term, _ in tokenize(segment.plain_text))
-        for segment in obj.voice_segments:
-            terms.update(segment.utterance_terms())
-        for image in obj.images:
-            for graphics in image.labelled_objects():
-                terms.update(term for term, _ in tokenize(graphics.label.text))
-        for term in terms:
-            self._term_index[term].add(obj.object_id)
+    def index_object(self, obj: MultimediaObject) -> None:
+        """Index one object's attributes."""
         for name, value in obj.attributes:
             self._attribute_index[(name, value)].add(obj.object_id)
         self._indexed.add(obj.object_id)
-        return len(terms)
-
-    def add_terms(self, object_id: ObjectId, terms: set[str]) -> None:
-        """Fold extra terms for an already-indexed object.
-
-        Used by idle-time recognition: utterances recognized after
-        archiving make the object reachable under new terms.
-        """
-        for term in terms:
-            self._term_index[term.lower()].add(object_id)
-        self._indexed.add(object_id)
-
-    def search_terms(self, *terms: str) -> set[ObjectId]:
-        """Objects containing *all* the given terms (conjunctive).
-
-        Raises
-        ------
-        QueryError
-            If no terms are given.
-        """
-        if not terms:
-            raise QueryError("term search needs at least one term")
-        result: set[ObjectId] | None = None
-        for term in terms:
-            matching = self._term_index.get(term.lower(), set())
-            result = matching.copy() if result is None else result & matching
-            if not result:
-                return set()
-        return result or set()
 
     def search_attributes(self, **criteria: AttributeValue) -> set[ObjectId]:
         """Objects whose attributes equal every criterion.
@@ -103,19 +56,3 @@ class ContentIndex:
             if not result:
                 return set()
         return result or set()
-
-    def search(
-        self, terms: list[str] | None = None, **criteria: AttributeValue
-    ) -> set[ObjectId]:
-        """Combined conjunctive search over terms and attributes."""
-        if not terms and not criteria:
-            raise QueryError("query needs terms or attribute criteria")
-        results: list[set[ObjectId]] = []
-        if terms:
-            results.append(self.search_terms(*terms))
-        if criteria:
-            results.append(self.search_attributes(**criteria))
-        combined = results[0]
-        for other in results[1:]:
-            combined = combined & other
-        return combined

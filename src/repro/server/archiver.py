@@ -561,11 +561,10 @@ class Archiver:
 
         ``side_table`` maps segment ids to recognized-utterance lists.
         The new terms become content-addressable immediately: the
-        legacy term index absorbs them, and the archive-wide index
-        re-derives the object's *complete* voice posting set from the
-        rebuilt form at the bumped version token, retiring every voice
-        posting of the previous version (so a re-recognized object
-        never serves stale utterances).
+        archive-wide index re-derives the object's *complete* voice
+        posting set from the rebuilt form at the bumped version token,
+        retiring every voice posting of the previous version (so a
+        re-recognized object never serves stale utterances).
 
         The update follows the same commit protocol as :meth:`store`
         (journal BEGIN with the *complete merged* side table → apply →
@@ -589,10 +588,8 @@ class Archiver:
                     object_id, {}
                 ).items()
             }
-            terms: set[str] = set()
             for segment_id, utterances in side_table.items():
                 merged[segment_id] = list(utterances)
-                terms.update(u.term for u in utterances)
             version = self._versions[object_id] + 1
             # Index maintenance, not a client round-trip: rebuild
             # without touching the op counters benchmarks compare on.
@@ -631,7 +628,6 @@ class Archiver:
             # Index publishes after the seal, as in store(): the
             # transaction is durable and recovery rebuilds the indexes
             # from the journaled side table anyway.
-            self.index.add_terms(object_id, terms)
             self.archive_index.update_voice(object_id, postings, version)
 
     def read_absolute(self, offset: int, length: int) -> tuple[bytes, float]:
@@ -892,7 +888,7 @@ class CachingArchiver:
 
     @property
     def index(self) -> ContentIndex:
-        """The wrapped archiver's legacy content index."""
+        """The wrapped archiver's attribute index."""
         return self._archiver.index
 
     @property

@@ -8,10 +8,9 @@ The :class:`IdleRecognizer` is that background worker: it scans the
 archiver for audio content whose voice segments carry no recognized
 utterances, runs the recognizer over them, stores the results in a
 side table (the optical platter is write-once, so the stored bytes are
-never touched), and folds the new terms into the content indexes —
-both the legacy :class:`~repro.server.access.ContentIndex` and the
-archive-wide :class:`~repro.index.ArchiveIndex`, whose voice channel
-is re-versioned per object.  The archiver consults the side table when
+never touched), and folds the new terms into the archive-wide
+:class:`~repro.index.ArchiveIndex`, whose voice channel is re-versioned
+per object.  The archiver consults the side table when
 rebuilding objects, so browsing sessions opened afterwards can
 pattern-search the newly recognized speech.
 

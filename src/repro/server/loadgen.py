@@ -3,11 +3,12 @@
 Two replay modes exercise the serving stack:
 
 ``replay_virtual``
-    A discrete-event replay in *simulated time*: one shared optical
-    device, FIFO service, optional shared cache with single-flight
-    piggybacking.  Fully deterministic for a given schedule, so the
-    C-CONC benchmark can assert latency-curve shapes (p95 grows with
-    contention; the cache flattens it) with exact numbers.
+    A replay in *simulated time*: one shared optical device, FIFO
+    service, optional shared cache with single-flight piggybacking —
+    the one-node case of :func:`repro.cluster.router.replay_cluster`.
+    Fully deterministic for a given schedule, so the C-CONC benchmark
+    can assert latency-curve shapes (p95 grows with contention; the
+    cache flattens it) with exact numbers.
 
 ``replay_threaded``
     Drives a real :class:`~repro.server.frontend.ServerFrontend` with
@@ -36,7 +37,6 @@ from repro.server.archiver import Archiver, CachingArchiver
 from repro.server.frontend import ServerFrontend
 from repro.server.metrics import ServerMetrics
 from repro.server.metrics import percentile as shared_percentile
-from repro.storage.cache import LRUCache
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,26 @@ class LoadRequest:
 
 @dataclass
 class LoadReport:
-    """Aggregate outcome of a replay."""
+    """Aggregate outcome of a replay: virtual, cluster or threaded."""
 
     latencies: list[float] = field(default_factory=list)
+    #: Device service seconds of each completed request, parallel to
+    #: ``latencies`` (0.0 for a hit or a piggyback); virtual-time
+    #: replays only.
+    service_s: list[float] = field(default_factory=list)
     device_busy_s: float = 0.0
     device_reads: int = 0
     cache_hits: int = 0
     piggybacks: int = 0
     rejected: int = 0
+    failed_reads: int = 0
+    failovers: int = 0
+    hedges: int = 0
+    hedge_wins: int = 0
+    #: node id -> reads served there.
+    node_reads: dict[int, int] = field(default_factory=dict)
+    #: node id -> simulated busy seconds on that node's device.
+    node_busy_s: dict[int, float] = field(default_factory=dict)
 
     @property
     def completed(self) -> int:
@@ -172,43 +184,21 @@ def replay_virtual(
     a request arriving while its object is already being fetched
     completes when that fetch does, adding no device work.
 
-    The archiver is only consulted for object extents — no bytes are
+    This is :func:`repro.cluster.router.replay_cluster` over a one-node
+    cluster, so both replays charge one device model; a request for an
+    object the archiver does not hold counts as a failed read.
+    ``metrics``, if given, sees every completed request once.  The
+    archiver is only consulted for object extents — no bytes are
     actually read, which keeps the replay O(requests).
     """
-    geometry = archiver.disk.geometry
-    cache = LRUCache(cache_bytes) if cache_bytes else None
-    flights: dict[str, float] = {}  # key -> finish time of last fetch
-    report = LoadReport()
-    device_free = 0.0
-    head = 0
-    for request in sorted(schedule, key=lambda r: (r.arrival_s, r.request_id)):
-        key = f"obj/{request.object_id}"
-        extent = archiver.record(request.object_id).extent
-        arrival = request.arrival_s
-        service = 0.0
-        if cache is not None and flights.get(key, 0.0) > arrival:
-            # Piggyback on the in-flight fetch of the same object.
-            finish = flights[key]
-            latency = finish - arrival
-            report.piggybacks += 1
-        elif cache is not None and cache.get(key) is not None:
-            finish = arrival
-            latency = 0.0
-            report.cache_hits += 1
-        else:
-            start = max(device_free, arrival)
-            service = geometry.access_time(head, extent)
-            finish = start + service
-            device_free = finish
-            head = extent.end
-            report.device_busy_s += service
-            report.device_reads += 1
-            latency = finish - arrival
-            if cache is not None:
-                cache.put(key, bytes(extent.length))
-                flights[key] = finish
-        report.latencies.append(latency)
-        if metrics is not None:
+    # repro.cluster imports repro.server, so the cluster loads here.
+    from repro.cluster.node import ClusterNode
+    from repro.cluster.router import ClusterRouter, replay_cluster
+
+    router = ClusterRouter([ClusterNode(0, archiver)], replication=1)
+    report = replay_cluster(router, schedule, cache_bytes=cache_bytes)
+    if metrics is not None:
+        for latency, service in zip(report.latencies, report.service_s):
             metrics.on_complete(latency, service, cache_hit=(service == 0.0))
     return report
 

@@ -24,8 +24,8 @@ def percentile(values: Sequence[float], p: float) -> float:
     """The ``p``-th percentile of raw samples, linearly interpolated.
 
     The one quantile definition shared by every report in the repo —
-    ``LoadReport`` (server), ``ClusterLoadReport`` (cluster),
-    ``DeliveryReport`` (delivery) and the SLO monitor all call this,
+    ``LoadReport`` (server and cluster replays), ``DeliveryReport``
+    (delivery) and the SLO monitor all call this,
     so "p95" means the same thing in every benchmark table.  ``p`` is
     in [0, 100]; an empty sample set reads as 0.0.
     """

@@ -298,9 +298,10 @@ def recover_archiver(
                     report.recognitions_recovered += 1
 
         # --------------------------------------------------------------
-        # 3. Rebuild both content indexes from the recovered objects.
-        #    Iteration order is txid order, which is platter (storage)
-        #    order, so query result ordering survives recovery.
+        # 3. Rebuild the attribute and archive indexes from the
+        #    recovered objects.  Iteration order is txid order, which
+        #    is platter (storage) order, so query result ordering
+        #    survives recovery.
         # --------------------------------------------------------------
         for object_id in list(archiver._records):
             obj, _ = archiver.fetch_object(object_id, _count=False)

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import AllocationError, StorageError
+from repro.storage.cache import LRUCache
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +67,87 @@ class DiskGeometry:
             + self.rotational_latency_s / 2
             + extent.length / self.transfer_bytes_per_s
         )
+
+
+class DeviceTimeline:
+    """One device's queue on a simulated clock, with optional staging.
+
+    The device model of every virtual-time answer to Section 5's
+    "queueing delays ... when several users try to access data from the
+    same device": the C-CONC and C-CLUSTER replays and the C-STREAM
+    delivery pipeline.  Reads are served FIFO in issue order — a read
+    issued at ``now_s`` starts when the device frees up and holds it
+    for its service time — so queueing delay emerges from the arrival
+    pattern alone.
+
+    With a staging ``cache``, each staged key also carries the time its
+    bytes land.  A staged key still in flight is served at that time
+    (single-flight: the request piggybacks on the read under way); a
+    staged key past it is free (a hit); anything else goes to the
+    device.
+    """
+
+    __slots__ = (
+        "geometry", "cache", "free_s", "head", "busy_s", "reads", "_ready"
+    )
+
+    def __init__(
+        self, geometry: DiskGeometry, cache: LRUCache | None = None
+    ) -> None:
+        self.geometry = geometry
+        self.cache = cache
+        #: When the device finishes the last read queued on it.
+        self.free_s = 0.0
+        #: Head position after the last read charged with its extent.
+        self.head = 0
+        self.busy_s = 0.0
+        self.reads = 0
+        self._ready: dict[str, float] = {}
+
+    def service_time(self, extent: Extent) -> float:
+        """Service time of a read of ``extent`` from the current head."""
+        return self.geometry.access_time(self.head, extent)
+
+    def charge(
+        self, now_s: float, service_s: float, extent: Extent | None = None
+    ) -> tuple[float, float]:
+        """Queue one read issued at ``now_s``; returns ``(start, finish)``.
+
+        ``extent`` moves the head; a caller whose service time came from
+        a real device read leaves it out.
+        """
+        start = max(self.free_s, now_s)
+        self.free_s = start + service_s
+        self.busy_s += service_s
+        self.reads += 1
+        if extent is not None:
+            self.head = extent.end
+        return start, self.free_s
+
+    def staged(self, key: str, now_s: float) -> float | None:
+        """When a request at ``now_s`` has ``key``'s staged bytes.
+
+        None when ``key`` is not staged: the read goes to the device.
+        """
+        if self.cache is None or self.cache.get(key) is None:
+            return None
+        return self.ready_at(key, now_s)
+
+    def ready_at(self, key: str, now_s: float) -> float:
+        """When staged ``key``'s bytes are there for a request at ``now_s``."""
+        return max(now_s, self._ready.get(key, now_s))
+
+    def stage(
+        self, key: str, ready_s: float, data: bytes | None = None
+    ) -> None:
+        """Record that ``key``'s bytes land at ``ready_s``.
+
+        ``data`` is put into the staging cache; without it the caller
+        has already published the bytes.
+        """
+        if data is not None:
+            self.cache.put(key, data)
+        self._ready[key] = ready_s
 
 
 @dataclass

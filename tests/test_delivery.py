@@ -237,48 +237,6 @@ def small_pipeline_run():
     return report, metrics, pipeline
 
 
-class TestBatchedPrefetch:
-    def test_zero_stagger_sweeps_read_ahead_in_one_batch(self):
-        """``prefetch_stagger_s=0`` issues the read-ahead window as one
-        scatter-gather sweep instead of a trickle of per-page reads —
-        the replay still completes with the same prefetch coverage."""
-        archiver = Archiver()
-        objects = build_object_library(
-            archiver, visual_count=3, audio_count=4
-        )
-        # Compressed image pieces are ~1.2 KB, so page them finely
-        # enough that each object still spans several pages and the
-        # read-ahead window has something to sweep.
-        scripts = build_streaming_workload(
-            archiver, objects, stations=3, duration_s=10.0,
-            think_s=1.0, seed=7, page_bytes=256,
-        )
-        sweeps = []
-        real_raw = archiver.read_scattered_raw
-
-        def counting_raw(ranges):
-            sweeps.append(len(ranges))
-            return real_raw(ranges)
-
-        archiver.read_scattered_raw = counting_raw
-        metrics = DeliveryMetrics()
-        pipeline = DeliveryPipeline(
-            archiver,
-            DeliveryConfig(
-                policy=DeliveryPolicy.DEADLINE, prefetch_stagger_s=0.0,
-                page_bytes=256,
-            ),
-            metrics,
-        )
-        report = pipeline.run(scripts)
-        assert report.streams_completed == 3
-        assert report.underruns == 0
-        assert metrics.snapshot().prefetch_issued > 0
-        assert report.prefetched_page_hits > 0
-        # The read-ahead really went through scatter-gather sweeps.
-        assert sweeps and max(sweeps) >= 1
-
-
 class TestPipelineInstrumentation:
     def test_delivery_trace_events_recorded(self, small_pipeline_run):
         _, metrics, _ = small_pipeline_run

@@ -283,86 +283,6 @@ def test_jump_during_read_blocks_stale_publish(visual_library):
     assert prefetcher.stats.cancelled == 1
 
 
-def test_batch_prefetch_matches_single_execution(visual_library):
-    """One scatter-gather sweep stages the same bytes as task-by-task.
-
-    ``execute_batch`` must publish under exactly the same keys with
-    identical payloads, at no more total device time than executing
-    each task separately.
-    """
-    archiver, visual = visual_library
-    obj = visual[0]
-    extents = page_extents_for(archiver, obj.object_id, 256)
-
-    single_cache = LRUCache(4_000_000)
-    single = Prefetcher(archiver, single_cache, depth=2)
-    tasks = single.observe_view("ws-1", obj.object_id, 0, extents)
-    single_total = 0.0
-    for task in tasks:
-        data, service = single.execute(task)
-        assert data is not None
-        single_total += service
-
-    batch_cache = LRUCache(4_000_000)
-    batch = Prefetcher(archiver, batch_cache, depth=2)
-    batch_tasks = batch.observe_view("ws-2", obj.object_id, 0, extents)
-    payloads, batch_total = batch.execute_batch(batch_tasks)
-    assert batch.stats.executed == len(batch_tasks)
-    for task, data in zip(batch_tasks, payloads):
-        assert data is not None
-        assert batch_cache.get(task.cache_key()) == single_cache.get(
-            task.cache_key()
-        )
-    assert batch_total <= single_total + 1e-12
-
-
-def test_batch_prefetch_respects_cancellation_gate(visual_library):
-    """A jump during the batch sweep blocks every stale publish."""
-    archiver, visual = visual_library
-    cache = LRUCache(4_000_000)
-    prefetcher = Prefetcher(archiver, cache, depth=2)
-    obj = visual[1]
-    extents = page_extents_for(archiver, obj.object_id, 256)
-    tasks = prefetcher.observe_view("ws-0", obj.object_id, 0, extents)
-    assert len(tasks) == 2
-
-    real_scatter = archiver.read_scattered_raw
-
-    def sweep_then_jump(ranges):
-        result = real_scatter(ranges)
-        prefetcher.jump("ws-0")  # lands while the head sweeps
-        return result
-
-    prefetcher._archiver = type(
-        "JumpyArchiver", (), {
-            "read_scattered_raw": staticmethod(sweep_then_jump),
-            "data_extent": staticmethod(archiver.data_extent),
-        },
-    )()
-    payloads, service = prefetcher.execute_batch(tasks)
-    assert payloads == [None, None]
-    assert service > 0.0  # the sweep did happen...
-    for task in tasks:
-        assert cache.get(task.cache_key()) is None  # ...nothing published
-    assert prefetcher.stats.cancelled == len(tasks)
-
-
-def test_batch_prefetch_serves_staged_ranges_from_cache(visual_library):
-    """Ranges already staged cost no device time in a batch."""
-    archiver, visual = visual_library
-    cache = LRUCache(4_000_000)
-    prefetcher = Prefetcher(archiver, cache, depth=2)
-    obj = visual[2]
-    extents = page_extents_for(archiver, obj.object_id, 256)
-    tasks = prefetcher.observe_view("ws-0", obj.object_id, 0, extents)
-    cold, _cold_service = prefetcher.execute_batch(tasks)
-    assert all(payload is not None for payload in cold)
-    again, service = prefetcher.execute_batch(tasks)
-    assert again == cold
-    assert service == 0.0
-    assert prefetcher.stats.already_cached == len(tasks)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 5), min_size=2, max_size=20))
 def test_browse_direction_inferred_from_page_sequence(pages):

@@ -148,4 +148,4 @@ class TestLibrary:
     def test_topics_queryable(self):
         archiver = Archiver()
         build_object_library(archiver, visual_count=5, audio_count=0)
-        assert archiver.index.search_terms("radiology")
+        assert archiver.archive_index.search_terms(["radiology"])

@@ -135,7 +135,9 @@ class TestFetch:
         beta = _simple_object(generator, "betatopic")
         archiver.store(alpha)
         archiver.store(beta)
-        assert archiver.index.search_terms("alphatopic") == {alpha.object_id}
+        assert archiver.archive_index.search_terms(["alphatopic"]) == {
+            alpha.object_id
+        }
         assert archiver.index.search_attributes(topic="betatopic") == {
             beta.object_id
         }

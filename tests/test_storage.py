@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import AllocationError, StorageError, WriteOnceViolationError
-from repro.storage.blockdev import DiskGeometry, Extent, SimulatedDisk
+from repro.storage.blockdev import (
+    DeviceTimeline,
+    DiskGeometry,
+    Extent,
+    SimulatedDisk,
+)
+from repro.storage.cache import LRUCache
 from repro.storage.magnetic import MAGNETIC_GEOMETRY, MagneticDisk
 from repro.storage.optical import OPTICAL_GEOMETRY, OpticalDisk
 
@@ -84,6 +90,46 @@ class TestSimulatedDisk:
         assert disk.stats.reads == 1
         assert disk.stats.bytes_read == 3
         assert disk.stats.busy_time_s > 0
+
+
+class TestDeviceTimeline:
+    def test_reads_queue_fifo_in_issue_order(self):
+        device = DeviceTimeline(SMALL)
+        assert device.charge(1.0, 0.5) == (1.0, 1.5)
+        # Issued while the first read holds the device: it waits.
+        assert device.charge(1.2, 0.25) == (1.5, 1.75)
+        # Issued after the device went idle: it starts at once.
+        assert device.charge(3.0, 0.1) == (3.0, 3.1)
+        assert device.busy_s == pytest.approx(0.85)
+        assert device.reads == 3
+
+    def test_head_moves_only_with_an_extent(self):
+        device = DeviceTimeline(SMALL)
+        far = Extent(9_000, 100)
+        cold = device.service_time(far)
+        assert cold == SMALL.access_time(0, far)
+        device.charge(0.0, 0.3)  # a measured read: no head to move
+        assert device.service_time(far) == cold
+        device.charge(0.0, cold, far)
+        assert device.head == far.end
+        assert device.service_time(Extent(9_100, 100)) < cold
+
+    def test_staged_key_waits_for_its_read_then_is_free(self):
+        device = DeviceTimeline(SMALL, LRUCache(1_000))
+        assert device.staged("k", 0.0) is None  # not staged: to the device
+        device.stage("k", 2.0, b"x" * 10)
+        assert device.staged("k", 1.0) == 2.0  # in flight: piggyback
+        assert device.staged("k", 5.0) == 5.0  # landed: free
+        assert device.ready_at("k", 1.5) == 2.0
+
+    def test_evicted_key_goes_back_to_the_device(self):
+        device = DeviceTimeline(SMALL, LRUCache(10))
+        device.stage("a", 2.0, b"a" * 10)
+        device.stage("b", 3.0, b"b" * 10)  # evicts "a" mid-flight
+        assert device.staged("a", 1.0) is None
+
+    def test_no_cache_stages_nothing(self):
+        assert DeviceTimeline(SMALL).staged("k", 0.0) is None
 
 
 class TestOpticalDisk:
