@@ -1,6 +1,6 @@
 """Simulated voice output device.
 
-Playback advances the shared :class:`~repro.workstation.clock.SimClock`
+Playback advances the shared :class:`~repro.clock.SimClock`
 and records every played interval on the session trace, so tests can
 assert exactly what the user heard and when.  Interactive behaviour —
 the user pressing *interrupt* while speech plays — is modelled by

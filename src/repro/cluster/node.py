@@ -36,7 +36,12 @@ from repro.faults.registry import (
     CLUSTER_NODE_CRASH,
     CLUSTER_REPLICA_WRITE,
 )
-from repro.server.archiver import Archiver, CachingArchiver
+from repro.server.archiver import (
+    READ_OPS,
+    Archiver,
+    CachingArchiver,
+    serve_read,
+)
 from repro.server.recovery import RecoveryReport
 
 
@@ -49,17 +54,6 @@ class NodeStatus(enum.Enum):
     DRAINING = "draining"
     #: Crashed or removed; serves nothing until :meth:`ClusterNode.recover`.
     DOWN = "down"
-
-
-#: Read operations a node will execute, mirroring
-#: :attr:`repro.server.frontend.ServerFrontend._OPS`.
-NODE_OPS = (
-    "fetch",
-    "fetch_object",
-    "read_absolute",
-    "read_piece_range",
-    "read_scattered",
-)
 
 
 class ClusterNode:
@@ -244,25 +238,21 @@ class ClusterNode:
     def serve(self, op: str, *params) -> tuple:
         """Execute one read operation; returns ``(payload, service_s)``.
 
-        ``op`` must be one of :data:`NODE_OPS`.  Transient device
-        faults (:class:`~repro.errors.TransientIOError`) propagate as
-        themselves — the router treats them, like
+        ``op`` must be one of :data:`~repro.server.archiver.READ_OPS`.
+        Transient device faults (:class:`~repro.errors.TransientIOError`)
+        propagate as themselves — the router treats them, like
         :class:`~repro.errors.NodeDownError`, as a cue to fail over.
         """
-        if op not in NODE_OPS:
+        if op not in READ_OPS:
             raise ClusterError(f"unknown node operation {op!r}")
         self._guard()
         try:
-            result = getattr(self._archiver, op)(*params)
+            return serve_read(self._archiver, op, *params)
         except SimulatedCrash as crash:
             raise self._died("serving a read") from crash
         finally:
             with self._lock:
                 self.served += 1
-        if op == "fetch":
-            return result, result.service_time_s
-        payload, service = result
-        return payload, service
 
     def record(self, object_id):
         """The storage record of a replica held here (read-side guard)."""

@@ -28,11 +28,8 @@ from repro.compress.frame import (
     is_framed,
     maybe_decode,
 )
-from repro.compress.metrics import CompressionMetrics, CompressionSnapshot
 
 __all__ = [
-    "CompressionMetrics",
-    "CompressionSnapshot",
     "DEFLATE",
     "DVARINT",
     "FRAME_MAGIC",

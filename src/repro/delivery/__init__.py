@@ -14,8 +14,6 @@ shared medium, against playout deadlines, with read-ahead:
   and audio-page boundaries; jitter buffer; underrun accounting.
 * :mod:`repro.delivery.prefetch` — browse-direction read-ahead through
   the shared cache, with generation-gated cancellation.
-* :mod:`repro.delivery.metrics` — delivery counters and
-  latency/occupancy histograms.
 * :mod:`repro.delivery.pipeline` — the deterministic replay engine,
   workload builder, and policy comparison (C-STREAM).
 """
@@ -27,7 +25,6 @@ from repro.delivery.chunks import (
     TrafficClass,
 )
 from repro.delivery.link import LinkStats, SharedLink, Transmission
-from repro.delivery.metrics import DeliveryMetrics, DeliverySnapshot
 from repro.delivery.pipeline import (
     DeliveryConfig,
     DeliveryPipeline,
@@ -53,11 +50,9 @@ __all__ = [
     "ChunkRequest",
     "ChunkScheduler",
     "DeliveryConfig",
-    "DeliveryMetrics",
     "DeliveryPipeline",
     "DeliveryPolicy",
     "DeliveryReport",
-    "DeliverySnapshot",
     "LinkDiscipline",
     "LinkStats",
     "PageView",

@@ -46,7 +46,6 @@ from repro.delivery.chunks import (
     TrafficClass,
 )
 from repro.delivery.link import SharedLink
-from repro.delivery.metrics import DeliveryMetrics
 from repro.delivery.prefetch import Prefetcher, piece_range_key
 from repro.delivery.session import StreamSession
 from repro.errors import (
@@ -308,15 +307,12 @@ class DeliveryPipeline:
         cold and the two policies compare fairly.
     config:
         Policy and knobs.
-    metrics:
-        Instrumentation sink (a fresh one is created if omitted).
     """
 
     def __init__(
         self,
         archiver: Archiver | CachingArchiver,
         config: DeliveryConfig | None = None,
-        metrics: DeliveryMetrics | None = None,
         *,
         obs: SpanRecorder | None = None,
     ) -> None:
@@ -326,7 +322,6 @@ class DeliveryPipeline:
         )
         self.cache = LRUCache(self.config.cache_bytes)
         self._device = DeviceTimeline(self._archiver.disk.geometry, self.cache)
-        self.metrics = metrics if metrics is not None else DeliveryMetrics()
         self.link = SharedLink(self.config.link)
         self._sched = ChunkScheduler(self.config.discipline)
         self._prefetcher = Prefetcher(
@@ -520,14 +515,13 @@ class DeliveryPipeline:
         deadline_mode = self.config.policy is DeliveryPolicy.DEADLINE
         if view.jump and deadline_mode:
             generation = self._prefetcher.jump(station)
-            revoked = self._sched.cancel_where(
+            self._sched.cancel_where(
                 lambda c: (
                     c.station == station
                     and c.meta.get("kind") == "prefetch"
                     and c.meta.get("generation", generation) < generation
                 )
             )
-            self.metrics.on_cancel(len(revoked))
         key = (station, str(view.object_id), view.page)
         extents = self._extents_of(view.object_id)
         if view.page >= len(extents):
@@ -537,7 +531,6 @@ class DeliveryPipeline:
             )
         if key in self._page_store:
             prefetched = self._page_store[key] == "prefetch"
-            self.metrics.on_page_turn(0.0, prefetched)
             self._report.page_turns += 1
             self._report.page_latencies.append(0.0)
             if prefetched:
@@ -599,7 +592,6 @@ class DeliveryPipeline:
             # Served from the shared cache: no device work, but honour
             # an in-flight fetch of the same key.
             ready = self._device.ready_at(task.cache_key(), self._now)
-        self.metrics.on_prefetch()
         self._start_prefetch_span(task, pending)
         total = self._split_bulk(
             task.station, task.length, ready,
@@ -629,8 +621,6 @@ class DeliveryPipeline:
     def _on_deliver(self, payload: tuple[ChunkRequest, float]) -> None:
         chunk, _ = payload
         self._link_busy = False
-        latency = self._now - chunk.issued_s
-        self.metrics.on_chunk(chunk.traffic_class.value, chunk.nbytes, latency)
         kind = chunk.meta.get("kind")
         if kind == "stream":
             self._deliver_stream_chunk(chunk)
@@ -647,20 +637,14 @@ class DeliveryPipeline:
     def _deliver_stream_chunk(self, chunk: ChunkRequest) -> None:
         station = chunk.station
         session = self._sessions[station]
-        was_started = session.started_s is not None
         event = session.on_delivered(chunk.meta["stream_seq"], self._now)
-        if not was_started and session.started_s is not None:
-            self.metrics.on_stream_start(session.startup_latency_s)
-        if event is not None:
-            self.metrics.on_underrun(event.stall_s)
-            if self.obs is not None:
-                self.obs.emit(
-                    self._stream_ctx.get(station), "underrun",
-                    ObsSpanKind.DELIVERY, self._now, self._now,
-                    status=ObsSpanStatus.ERROR,
-                    seq=event.seq, stall_s=round(event.stall_s, 9),
-                )
-        self.metrics.on_buffer_level(session.buffered_s(self._now))
+        if event is not None and self.obs is not None:
+            self.obs.emit(
+                self._stream_ctx.get(station), "underrun",
+                ObsSpanKind.DELIVERY, self._now, self._now,
+                status=ObsSpanStatus.ERROR,
+                seq=event.seq, stall_s=round(event.stall_s, 9),
+            )
         if self.config.policy is DeliveryPolicy.ON_DEMAND:
             next_seq = self._next_audio_seq.get(station, len(session))
             if next_seq < len(session):
@@ -677,7 +661,6 @@ class DeliveryPipeline:
             del self._pending_pages[key]
             latency = self._now - state[0]
             self._page_store[key] = "demand"
-            self.metrics.on_page_turn(latency, False)
             self._report.page_turns += 1
             self._report.page_latencies.append(latency)
             self._report.cold_page_latencies.append(latency)
@@ -859,11 +842,11 @@ def fetch_with_retry(
     jitter sequence is deterministic and repeatable while distinct
     stations decorrelate — pass an explicit ``rng`` to override.
 
-    Every op in :attr:`ServerFrontend._OPS` is retry-safe, including a
-    ``read_scattered`` batch: a rejection happens at admission, before
-    the archiver plans or reads anything, and a transient read fault
-    leaves no partial device state, so a retried request re-plans from
-    untouched cache and disk-head state.
+    Every op in :data:`~repro.server.archiver.READ_OPS` is retry-safe,
+    including a ``read_scattered`` batch: a rejection happens at
+    admission, before the archiver plans or reads anything, and a
+    transient read fault leaves no partial device state, so a retried
+    request re-plans from untouched cache and disk-head state.
 
     Raises
     ------

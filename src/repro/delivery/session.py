@@ -4,9 +4,8 @@ Section 5's requirement is that voice reaches the workstation
 "continuously in real time".  A :class:`StreamSession` turns one stored
 voice piece into a playout plan — fixed-size chunks whose deadlines
 follow from the codec byte rate (mu-law: ``sample_rate`` bytes per
-second) — and then scores the delivery: when did playback start, how
-full was the jitter buffer, and exactly where did the speaker go
-silent (underruns).
+second) — and then scores the delivery: when did playback start, and
+exactly where did the speaker go silent (underruns).
 
 Deadline math.  Chunk ``i`` covers bytes
 ``[i * chunk_bytes, (i+1) * chunk_bytes)`` and therefore
@@ -250,11 +249,3 @@ class StreamSession:
             self.underruns.append(event)
             return event
         return None
-
-    def buffered_s(self, now_s: float) -> float:
-        """Seconds of contiguous speech buffered ahead of the playhead."""
-        if self.started_s is None:
-            return self._offsets[self._contiguous]
-        played = now_s - self.started_s - self.total_stall_s
-        played = min(max(played, 0.0), self.duration_s)
-        return max(self._offsets[self._contiguous] - played, 0.0)

@@ -14,7 +14,6 @@ grows.  See ``docs/SEARCH.md``.
 
 from repro.index.archive_index import ArchiveIndex, RawPosting
 from repro.index.lsm import CompactionResult, IndexShard, Memtable, Segment
-from repro.index.metrics import IndexMetrics, IndexMetricsSnapshot
 from repro.index.planner import (
     AndNode,
     NotNode,
@@ -37,8 +36,6 @@ __all__ = [
     "BOTH",
     "CompactionResult",
     "HashRing",
-    "IndexMetrics",
-    "IndexMetricsSnapshot",
     "IndexShard",
     "Memtable",
     "NotNode",

@@ -29,7 +29,6 @@ from typing import Iterable
 from repro.errors import QueryError
 from repro.ids import ObjectId
 from repro.index.lsm import CompactionResult, IndexShard
-from repro.index.metrics import IndexMetrics
 from repro.index.planner import (
     Node,
     contains_not,
@@ -57,9 +56,6 @@ class ArchiveIndex:
         consistent hashing.
     memtable_budget_bytes:
         Per-shard memtable flush threshold.
-    metrics:
-        Optional :class:`IndexMetrics` (a private one is created
-        otherwise).
     parallel_lookup:
         Look terms up across shards concurrently when a query needs
         more than one term.  Results are identical either way.
@@ -70,19 +66,16 @@ class ArchiveIndex:
         n_shards: int = 4,
         memtable_budget_bytes: int = 64 * 1024,
         replicas: int = 64,
-        metrics: IndexMetrics | None = None,
         parallel_lookup: bool = True,
         fault_plan=None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"index needs at least one shard: {n_shards}")
-        self.metrics = metrics if metrics is not None else IndexMetrics()
         self._ring = HashRing(list(range(n_shards)), replicas=replicas)
         self._shards = {
             shard_id: IndexShard(
                 shard_id,
                 memtable_budget_bytes=memtable_budget_bytes,
-                on_flush=self.metrics.on_flush,
                 fault_plan=fault_plan,
             )
             for shard_id in range(n_shards)
@@ -120,9 +113,7 @@ class ArchiveIndex:
             if object_id not in self._ordinals:
                 self._ordinals[object_id] = len(self._ordinals)
             self._voice_version.setdefault(object_id, version)
-        added = self._add_postings(object_id, postings, version)
-        self.metrics.on_insert(added)
-        return added
+        return self._add_postings(object_id, postings, version)
 
     def update_voice(
         self,
@@ -150,11 +141,9 @@ class ArchiveIndex:
             if version < self._voice_version.get(object_id, 0):
                 return 0  # stale update raced a newer reindex
             self._voice_version[object_id] = version
-        added = self._add_postings(
+        return self._add_postings(
             object_id, postings, version, voice_only=True
         )
-        self.metrics.on_voice_reindex(added)
-        return added
 
     def _add_postings(
         self,
@@ -217,17 +206,18 @@ class ArchiveIndex:
 
     def _lookup_one(self, term: str, span_parent=None) -> list[Posting]:
         shard_id = self._ring.shard_for(term)
+        obs = self.obs
+        if obs is None:
+            return self._shards[shard_id].postings(term, live=self._live)
         start = time.perf_counter()
         postings = self._shards[shard_id].postings(term, live=self._live)
         elapsed = time.perf_counter() - start
-        self.metrics.on_shard_lookup(shard_id, elapsed)
-        if self.obs is not None:
-            now = self.obs.now()
-            self.obs.emit(
-                span_parent, "index:shard", ObsSpanKind.INDEX,
-                now, now + elapsed, shard=shard_id, term=term,
-                postings=len(postings),
-            )
+        now = obs.now()
+        obs.emit(
+            span_parent, "index:shard", ObsSpanKind.INDEX,
+            now, now + elapsed, shard=shard_id, term=term,
+            postings=len(postings),
+        )
         return postings
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
@@ -252,24 +242,20 @@ class ArchiveIndex:
         """
         validate_channel(channel)
         node = parse_query(query) if isinstance(query, str) else query
-        active = None
-        if self.obs is not None:
-            text = query if isinstance(query, str) else repr(node)
-            active = self.obs.start(
-                current_span(), "index:query", ObsSpanKind.INDEX,
-                self.obs.now(), query=text, channel=channel,
-            )
+        obs = self.obs
+        if obs is None:
+            return self.in_storage_order(self._evaluate(node, channel))
+        text = query if isinstance(query, str) else repr(node)
+        active = obs.start(
+            current_span(), "index:query", ObsSpanKind.INDEX,
+            obs.now(), query=text, channel=channel,
+        )
         start = time.perf_counter()
-        if active is not None:
-            with bind_span(active.context):
-                matched = self._evaluate(node, channel)
-        else:
+        with bind_span(active.context):
             matched = self._evaluate(node, channel)
         ordered = self.in_storage_order(matched)
         elapsed = time.perf_counter() - start
-        self.metrics.on_query(elapsed)
-        if active is not None:
-            active.finish(active.start_s + elapsed, results=len(ordered))
+        active.finish(active.start_s + elapsed, results=len(ordered))
         return ordered
 
     def search_terms(
@@ -283,22 +269,19 @@ class ArchiveIndex:
             If no terms are given.
         """
         validate_channel(channel)
-        active = None
-        if self.obs is not None:
-            active = self.obs.start(
-                current_span(), "index:query", ObsSpanKind.INDEX,
-                self.obs.now(), query=" AND ".join(terms), channel=channel,
-            )
+        node = terms_query(terms)
+        obs = self.obs
+        if obs is None:
+            return self._evaluate(node, channel)
+        active = obs.start(
+            current_span(), "index:query", ObsSpanKind.INDEX,
+            obs.now(), query=" AND ".join(terms), channel=channel,
+        )
         start = time.perf_counter()
-        if active is not None:
-            with bind_span(active.context):
-                matched = self._evaluate(terms_query(terms), channel)
-        else:
-            matched = self._evaluate(terms_query(terms), channel)
+        with bind_span(active.context):
+            matched = self._evaluate(node, channel)
         elapsed = time.perf_counter() - start
-        self.metrics.on_query(elapsed)
-        if active is not None:
-            active.finish(active.start_s + elapsed, results=len(matched))
+        active.finish(active.start_s + elapsed, results=len(matched))
         return matched
 
     def _evaluate(self, node: Node, channel: str) -> set[ObjectId]:
@@ -346,14 +329,7 @@ class ArchiveIndex:
         during and after return identical results — liveness is also
         enforced at read time.
         """
-        results = []
-        for shard in self._shards.values():
-            result = shard.compact(self._live)
-            self.metrics.on_compaction(
-                result.segments_merged, result.postings_dropped
-            )
-            results.append(result)
-        return results
+        return [shard.compact(self._live) for shard in self._shards.values()]
 
     # ------------------------------------------------------------------
     # recovery
@@ -372,7 +348,7 @@ class ArchiveIndex:
 
         Crash recovery reconstructs the index by re-inserting every
         recovered object's postings; configuration (shards, budgets,
-        metrics, fault plan) is preserved.
+        fault plan) is preserved.
         """
         for shard in self._shards.values():
             shard.reset()

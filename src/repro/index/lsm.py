@@ -119,8 +119,6 @@ class IndexShard:
     memtable_budget_bytes:
         Flush threshold; the memtable is flushed into a fresh segment
         as soon as its accounted size exceeds this budget.
-    on_flush:
-        Optional no-argument callback fired after a flush.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` consulted at the
         ``lsm.flush.segment`` and ``lsm.compact.swap`` sites.
@@ -130,7 +128,6 @@ class IndexShard:
         self,
         shard_id: int,
         memtable_budget_bytes: int = 64 * 1024,
-        on_flush: Callable[[], None] | None = None,
         fault_plan=None,
     ) -> None:
         if memtable_budget_bytes <= 0:
@@ -142,7 +139,6 @@ class IndexShard:
         self._memtable = Memtable()
         self._segments: list[Segment] = []
         self._orphans: list[Segment] = []
-        self._on_flush = on_flush
         self._fault_plan = fault_plan
         self.flush_failures = 0
         self._lock = threading.Lock()
@@ -162,24 +158,18 @@ class IndexShard:
         already durable in the memtable, so the flush simply retries at
         the next over-budget insert.  Crashes propagate.
         """
-        flushed: Segment | None = None
         with self._lock:
             self._memtable.add(term, posting)
             if self._memtable.nbytes > self._budget:
                 try:
-                    flushed = self._flush_locked()
+                    self._flush_locked()
                 except TransientIOError:
                     self.flush_failures += 1
-        if flushed is not None and self._on_flush is not None:
-            self._on_flush()
 
     def flush(self) -> Segment | None:
         """Force the memtable into a segment (None if it was empty)."""
         with self._lock:
-            flushed = self._flush_locked()
-        if flushed is not None and self._on_flush is not None:
-            self._on_flush()
-        return flushed
+            return self._flush_locked()
 
     def _flush_locked(self) -> Segment | None:
         if not len(self._memtable):

@@ -20,12 +20,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.compress import (
-    CompressionMetrics,
-    codec_name,
-    decode_frame,
-    is_framed,
-)
+from repro.compress import codec_name, decode_frame, is_framed
 from repro.errors import ArchiverError, MinosError, ObjectNotFoundError
 from repro.faults.registry import (
     COMPRESS_DECODE,
@@ -82,6 +77,32 @@ class FetchResult:
     service_time_s: float
 
 
+#: Read operations a server request may name: methods that every
+#: archiver stack (:class:`Archiver`, :class:`CachingArchiver`) serves.
+#: ``read_scattered`` serves a whole batch of ``(offset, length)``
+#: ranges as one request, so an object open costs one round-trip
+#: instead of one per data piece.
+READ_OPS = (
+    "fetch",
+    "fetch_object",
+    "read_absolute",
+    "read_piece_range",
+    "read_scattered",
+)
+
+
+def serve_read(archiver, op: str, *params) -> tuple[object, float]:
+    """Run one of :data:`READ_OPS`; returns ``(payload, service_s)``.
+
+    ``fetch`` carries its service time inside its :class:`FetchResult`;
+    every other read already returns the pair.
+    """
+    result = getattr(archiver, op)(*params)
+    if op == "fetch":
+        return result, result.service_time_s
+    return result
+
+
 class Archiver:
     """The optical-disk-based store of archived objects.
 
@@ -114,10 +135,6 @@ class Archiver:
         bytes, and :meth:`decode_piece` unwraps them on the open path.
         When false, the archive is byte-identical to the historical
         uncompressed format.
-    compression_metrics:
-        Optional :class:`~repro.compress.CompressionMetrics` recording
-        per-codec encode/decode activity (a private one is created if
-        not given).
     """
 
     def __init__(
@@ -129,18 +146,12 @@ class Archiver:
         fault_plan=None,
         *,
         compression: bool = True,
-        compression_metrics: CompressionMetrics | None = None,
     ) -> None:
         self._disk = disk or OpticalDisk()
         self._cache = cache
         self._journal = journal if journal is not None else Journal()
         self._fault_plan = fault_plan
         self._compression = compression
-        self.compression_metrics = (
-            compression_metrics
-            if compression_metrics is not None
-            else CompressionMetrics()
-        )
         self._records: dict[ObjectId, StoredObjectRecord] = {}
         # One lock serializes record-table mutation and device access:
         # the simulated disk tracks a head position, so concurrent reads
@@ -334,17 +345,14 @@ class Archiver:
             return record
 
     def _account_compression(self, pieces) -> None:
-        """Advance compression counters for one durable store."""
+        """Advance the disk's media byte counters for one durable store."""
         if not pieces:
             return
         stats = getattr(self._disk, "stats", None)
-        for piece in pieces:
-            if stats is not None:
+        if stats is not None:
+            for piece in pieces:
                 stats.media_raw_bytes += piece.raw_len
                 stats.media_stored_bytes += piece.stored_len
-            self.compression_metrics.on_encode(
-                piece.codec, piece.raw_len, piece.stored_len
-            )
         if self._obs is not None:
             # One instant marker per store: encode cost is not part of
             # the simulated device model, so the span carries byte
@@ -377,13 +385,12 @@ class Archiver:
             return data
         self._fire(COMPRESS_DECODE)
         raw, codec_id = decode_frame(data)
-        name = codec_name(codec_id)
-        self.compression_metrics.on_decode(name)
         if self._obs is not None:
             now = self._obs.now()
             self._obs.emit(
-                current_span(), f"decode:{name}", ObsSpanKind.COMPRESS,
-                now, now, raw_len=len(raw), stored_len=len(data),
+                current_span(), f"decode:{codec_name(codec_id)}",
+                ObsSpanKind.COMPRESS, now, now,
+                raw_len=len(raw), stored_len=len(data),
             )
         return raw
 
@@ -472,7 +479,7 @@ class Archiver:
         with self._lock:
             self.op_counts[op] += 1
 
-    def fetch(self, object_id: ObjectId, *, _count: bool = True) -> FetchResult:
+    def fetch(self, object_id: ObjectId) -> FetchResult:
         """Fetch an object's stored form (descriptor + composition).
 
         The returned descriptor's composition offsets are rebased back
@@ -480,8 +487,7 @@ class Archiver:
         self-contained unit (ready to mail or rebuild); only shared
         ARCHIVER-source pointers still reference this archiver.
         """
-        if _count:
-            self._count("fetch")
+        self._count("fetch")
         record = self.record(object_id)
         data, service = self._read_extent(record.extent, key=f"obj/{object_id}")
         descriptor, composition = unpack_archived(data)
@@ -495,17 +501,17 @@ class Archiver:
     ) -> tuple[MultimediaObject, float]:
         """Fetch and rebuild a complete multimedia object.
 
-        Data pieces whose descriptor locations point elsewhere in the
-        archiver (shared data) are resolved transparently.
+        The in-memory record's descriptor already holds every piece's
+        archiver-absolute extent, so only the pieces are read (as
+        :meth:`CachingArchiver.fetch_object` reads them on a cold
+        cache), never the whole stored extent; pieces shared with other
+        objects are resolved transparently.
         """
         if _count:
             self._count("fetch_object")
-        result = self.fetch(object_id, _count=_count)
-        __ = result.composition  # pieces are re-read via absolute offsets
-        obj, service = self._rebuild_with_table(
+        return self._rebuild_with_table(
             object_id, self._recognition_table.get(object_id)
         )
-        return obj, result.service_time_s + service
 
     def _rebuild_with_table(
         self, object_id: ObjectId, side_table: dict | None

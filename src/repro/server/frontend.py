@@ -26,13 +26,18 @@ import itertools
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ArchiverError, RequestTimeoutError, ServerBusyError
 from repro.ids import ObjectId
 from repro.obs.context import bind, current
 from repro.obs.spans import SpanContext, SpanKind, SpanRecorder, SpanStatus
-from repro.server.archiver import Archiver, CachingArchiver
+from repro.server.archiver import (
+    READ_OPS,
+    Archiver,
+    CachingArchiver,
+    serve_read,
+)
 from repro.server.metrics import ServerMetrics
 
 _STOP = object()
@@ -126,19 +131,6 @@ class ServerFrontend:
     metrics:
         Instrumentation sink (a fresh one is created if omitted).
     """
-
-    #: Operations a request may name, mapped to archiver methods.
-    #: ``read_scattered`` serves a whole batch of ``(offset, length)``
-    #: ranges under a single admission slot — one queue entry, one
-    #: worker, one lock acquisition — so an object open costs one
-    #: round-trip instead of one per data piece.
-    _OPS = (
-        "fetch",
-        "fetch_object",
-        "read_absolute",
-        "read_piece_range",
-        "read_scattered",
-    )
 
     def __init__(
         self,
@@ -248,7 +240,7 @@ class ServerFrontend:
         """
         if not self._started:
             raise ArchiverError("frontend is not started")
-        if op not in self._OPS:
+        if op not in READ_OPS:
             raise ArchiverError(f"unknown server operation {op!r}")
         if ctx is None:
             ctx = current()
@@ -401,11 +393,4 @@ class ServerFrontend:
             future._complete(payload, service)
 
     def _execute(self, request: ServerRequest) -> tuple[Any, float]:
-        method: Callable = getattr(self._archiver, request.op)
-        result = method(*request.params)
-        if request.op == "fetch":
-            return result, result.service_time_s
-        # fetch_object / read_absolute / read_piece_range /
-        # read_scattered all return (payload, service_time_s) pairs.
-        payload, service = result
-        return payload, service
+        return serve_read(self._archiver, request.op, *request.params)

@@ -2,7 +2,7 @@
 
 The 1986 MINOS implementation ran on a SUN-3 workstation with voice
 input/output hardware.  This package substitutes a fully simulated
-workstation: a :class:`~repro.workstation.clock.SimClock` models elapsed
+workstation: a :class:`~repro.clock.SimClock` models elapsed
 time, a :class:`~repro.workstation.screen.Screen` models the display
 (page regions, pinned logical messages, transparency compositing), an
 :class:`~repro.workstation.audio_out.AudioOutput` models the speaker,

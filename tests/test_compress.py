@@ -2,9 +2,9 @@
 
 Codec and frame units, the archiver/formatter integration (compressed
 platter extents, raw windowed bitmaps, off-switch byte behaviour), the
-metrics surface (CompressionMetrics, DiskStats), the decode bounds
-against crafted frames, and the hard-vs-transient decode error
-contract.
+accounting surface (DiskStats, the ``encode`` and ``decode:<codec>``
+spans), the decode bounds against crafted frames, and the
+hard-vs-transient decode error contract.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.objects import (
     TextFlow,
     TextSegment,
 )
+from repro.obs import SpanKind, SpanRecorder
 from repro.scenarios.office import build_office_document
 from repro.server.archiver import Archiver, CachingArchiver
 from repro.storage.cache import LRUCache
@@ -447,25 +448,66 @@ class TestMetrics:
         assert stats.media_ratio > 1.0
 
     def test_compression_metrics_and_trace(self, generator):
-        from repro.compress import CompressionMetrics
-
-        metrics = CompressionMetrics()
-        archiver = Archiver(compression_metrics=metrics)
+        archiver = Archiver()
+        archiver.obs = SpanRecorder()
         obj = _visual_object(generator)
         archiver.store(obj)
         archiver.fetch_object(obj.object_id)
-        snap = metrics.snapshot()
-        assert snap.encode_counts.get("rle8", 0) >= 1
-        assert snap.encode_counts.get("deflate", 0) >= 1
-        assert snap.decode_counts  # open path decoded at least one piece
-        assert snap.overall_ratio > 1.0
-        assert snap.total_raw > snap.total_stored
-        assert "rle8" in snap.ratios and snap.ratios["rle8"].count >= 1
+        spans = archiver.obs.spans()
+        # Frames name their codec, so the open path's decode spans show
+        # what the store encoded: the raster run-length coded, the text
+        # deflated.
+        decodes = {s.name: s for s in spans if s.name.startswith("decode:")}
+        assert {"decode:rle8", "decode:deflate"} <= set(decodes)
+        rle8 = decodes["decode:rle8"].attrs
+        assert rle8["raw_len"] > rle8["stored_len"]
+        stats = archiver.disk.stats
+        assert stats.media_ratio > 1.0
+        assert stats.media_raw_bytes > stats.media_stored_bytes
 
     def test_office_document_compresses(self):
         archiver = Archiver()
         archiver.store(build_office_document())
         assert archiver.disk.stats.media_ratio > 1.5
+
+
+class TestCodecSpans:
+    def test_store_emits_one_encode_marker(self, generator):
+        archiver = Archiver()
+        archiver.obs = SpanRecorder()
+        record = archiver.store(_visual_object(generator))
+        (encode,) = [
+            s for s in archiver.obs.spans() if s.kind is SpanKind.COMPRESS
+        ]
+        assert encode.name == "encode"
+        assert encode.start_s == encode.end_s
+        stats = archiver.disk.stats
+        assert encode.attrs == {
+            "pieces": len(record.descriptor.locations),
+            "raw_len": stats.media_raw_bytes,
+            "stored_len": stats.media_stored_bytes,
+        }
+
+    def test_fetch_emits_one_decode_span_per_framed_piece(self, generator):
+        archiver = Archiver()
+        # The represented source bitmap stays raw and decodes silently.
+        obj = _visual_object(generator, represented=True)
+        record = archiver.store(obj)
+        archiver.obs = SpanRecorder()
+        archiver.fetch_object(obj.object_id)
+        decodes = [s for s in archiver.obs.spans() if s.kind is SpanKind.COMPRESS]
+        pieces = [
+            archiver.read_absolute(loc.offset, loc.length)[0]
+            for loc in record.descriptor.locations
+        ]
+        framed = [data for data in pieces if is_framed(data)]
+        assert 0 < len(framed) < len(pieces)
+        assert sorted(s.name for s in decodes) == sorted(
+            f"decode:{codec_name(frame_codec(data))}" for data in framed
+        )
+        assert sorted(s.attrs["stored_len"] for s in decodes) == sorted(
+            len(data) for data in framed
+        )
 
 
 # ----------------------------------------------------------------------

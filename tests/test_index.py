@@ -15,7 +15,6 @@ from repro.index import (
     AndNode,
     ArchiveIndex,
     HashRing,
-    IndexMetrics,
     IndexShard,
     NotNode,
     OrNode,
@@ -29,6 +28,7 @@ from repro.objects import DrivingMode, MultimediaObject, PresentationSpec
 from repro.objects.attributes import AttributeSet
 from repro.objects.parts import TextSegment, VoiceSegment
 from repro.objects.presentation import TextFlow
+from repro.obs import SpanRecorder
 from repro.scenarios import build_object_library
 from repro.server import (
     Archiver,
@@ -299,28 +299,53 @@ class TestArchiveIndex:
 
 class TestMetricsAndTrace:
     def test_structural_and_query_events_recorded(self):
-        index = ArchiveIndex(
-            n_shards=2,
-            memtable_budget_bytes=1,
-            metrics=IndexMetrics(),
-        )
+        index = ArchiveIndex(n_shards=2, memtable_budget_bytes=1)
+        index.obs = SpanRecorder()
+        assert index.insert_object(
+            ObjectId("doc"), [("budget", TEXT, 0.0, 0), ("review", TEXT, 7.0, 1)]
+        ) == 2
+        assert index.update_voice(
+            ObjectId("doc"), [("budget", VOICE, 0.0, 0)], 2
+        ) == 1
+        assert len(index) == 1
+        assert index.voice_version_of(ObjectId("doc")) == 2
+        assert index.posting_count == 3
+        # A one-byte memtable budget flushes every posting into a segment.
+        assert index.segment_count == 3
+        assert index.query("budget AND review") == [ObjectId("doc")]
+        results = index.compact()
+
+        assert len(results) == index.shard_count
+        assert sum(r.segments_merged for r in results) == 3
+        assert index.segment_count <= index.shard_count
+        names = [span.name for span in index.obs.spans()]
+        assert names.count("index:query") == 1
+        assert names.count("index:shard") == 2
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_query_span_has_one_shard_child_per_term(self, parallel):
+        index = ArchiveIndex(n_shards=2, parallel_lookup=parallel)
         index.insert_object(
             ObjectId("doc"), [("budget", TEXT, 0.0, 0), ("review", TEXT, 7.0, 1)]
         )
-        index.update_voice(ObjectId("doc"), [("budget", VOICE, 0.0, 0)], 2)
-        assert index.query("budget AND review") == [ObjectId("doc")]
-        index.compact()
-
-        snap = index.metrics.snapshot()
-        assert snap.objects_indexed == 1
-        assert snap.voice_reindexes == 1
-        assert snap.postings_indexed == 3
-        assert snap.flushes >= 1
-        assert snap.compactions == index.shard_count
-        assert snap.queries == 1
-        assert snap.shard_lookups == 2
-        assert snap.query_latency.count == 1
-        assert sum(h.count for h in snap.shard_latency.values()) == 2
+        index.obs = SpanRecorder()
+        for run, terms in (
+            (
+                lambda: index.query("budget AND (review OR urgent)"),
+                ["budget", "review", "urgent"],
+            ),
+            (lambda: index.search_terms(["budget", "review"]), ["budget", "review"]),
+        ):
+            index.obs.clear()
+            run()
+            spans = index.obs.spans()
+            (query,) = [s for s in spans if s.name == "index:query"]
+            shards = [s for s in spans if s.name == "index:shard"]
+            assert len(spans) == 1 + len(shards)
+            assert sorted(s.attrs["term"] for s in shards) == terms
+            assert all(s.parent_id == query.span_id for s in shards)
+            assert all(s.trace_id == query.trace_id for s in shards)
+            assert query.attrs["results"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -461,8 +486,9 @@ class TestIdleSweepFailures:
         ).run()
         # Recognition bumped the voice version; compaction ran and the
         # index holds exactly one live generation.
-        assert report.index_segments_merged >= 0
-        assert archiver.archive_index.metrics.snapshot().compactions >= 1
+        index = archiver.archive_index
+        assert report.index_segments_merged >= 1
+        assert 1 <= index.segment_count <= index.shard_count
         assert QueryInterface(archiver).select(
             terms=["urgent"], channel=VOICE
         ) == [obj.object_id]

@@ -1,5 +1,7 @@
 """The object archiver."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ArchiverError, ObjectNotFoundError
@@ -15,8 +17,10 @@ from repro.objects import (
 )
 from repro.images.bitmap import Bitmap
 from repro.images.image import Image
+from repro.formatter.builder import ObjectFormatter
 from repro.images.miniature import make_miniature
-from repro.server.archiver import Archiver
+from repro.scenarios import build_object_library
+from repro.server.archiver import Archiver, CachingArchiver
 from repro.storage.cache import LRUCache
 
 
@@ -128,6 +132,25 @@ class TestFetch:
         archiver = Archiver()
         with pytest.raises(ObjectNotFoundError):
             archiver.fetch(generator.object_id())
+
+    def test_fetch_object_charges_what_a_cold_cache_charges(self):
+        # Twin libraries: the same objects on identical platters.
+        plain = Archiver()
+        objects = build_object_library(plain, visual_count=2, audio_count=1)
+        twin = Archiver()
+        build_object_library(twin, visual_count=2, audio_count=1)
+        caching = CachingArchiver(twin, LRUCache(50_000_000))
+        plain.op_counts.clear()
+        for obj in objects:
+            rebuilt, service = plain.fetch_object(obj.object_id)
+            cached, cold = caching.fetch_object(obj.object_id)
+            # Only the pieces are read: no whole-extent read on top.
+            assert service == cold > 0
+            formed = ObjectFormatter(compression=False).form(rebuilt)
+            expected = ObjectFormatter(compression=False).form(cached)
+            assert formed.descriptor.to_bytes() == expected.descriptor.to_bytes()
+            assert formed.composition == expected.composition
+        assert plain.op_counts == Counter(fetch_object=len(objects))
 
     def test_content_index_populated(self, generator):
         archiver = Archiver()
