@@ -142,25 +142,35 @@ class AdaptivePauseClassifier:
         self._separation = separation
 
     def classify(self, pauses: list[Pause]) -> list[PauseKind]:
-        """Label each pause SHORT or LONG using local context."""
+        """Label each pause SHORT or LONG using local context.
+
+        Neighbouring pauses usually sample the same context, so each
+        distinct context is split once and its threshold shared.
+        """
         if not pauses:
             return []
-        global_split = self._top_tier_threshold([p.duration for p in pauses])
+        durations = np.array([p.duration for p in pauses])
+        midpoints = np.array([p.midpoint for p in pauses])
+        global_split = self._top_tier_threshold(durations.tolist())
+        # A context holds every pause whose midpoint lies within half a
+        # window of the sampling pause's, so its lowest and highest
+        # midpoints name it.
+        splits: dict[tuple[float, float], float | None] = {}
         kinds: list[PauseKind] = []
-        for pause in pauses:
-            context = [
-                p.duration
-                for p in pauses
-                if abs(p.midpoint - pause.midpoint) <= self._window / 2
-            ]
-            split = self._top_tier_threshold(context)
+        for midpoint, duration in zip(midpoints, durations):
+            inside = np.abs(midpoints - midpoint) <= self._window / 2
+            near = midpoints[inside]
+            key = (near.min(), near.max())
+            if key not in splits:
+                splits[key] = self._top_tier_threshold(durations[inside].tolist())
+            split = splits[key]
             if split is None:
                 split = global_split
             if split is None:
                 kinds.append(PauseKind.SHORT)
             else:
                 kinds.append(
-                    PauseKind.LONG if pause.duration >= split else PauseKind.SHORT
+                    PauseKind.LONG if duration >= split else PauseKind.SHORT
                 )
         return kinds
 

@@ -27,6 +27,7 @@ from typing import Iterator, Protocol, Union
 import numpy as np
 
 from repro.core.audio import AudioSession
+from repro.core.compile import VisualProgram, compile_visual_program
 from repro.core.visual import VisualSession
 from repro.errors import BrowsingError, ObjectNotFoundError
 from repro.ids import ImageId, ObjectId
@@ -104,6 +105,8 @@ class _DecodedEntry:
     obj: MultimediaObject
     version: int
     nbytes: int
+    #: Page programs compiled from ``obj``, by page height.
+    programs: dict[int, VisualProgram] = field(default_factory=dict)
 
 
 class DecodedObjectCache:
@@ -180,6 +183,23 @@ class DecodedObjectCache:
             obj=obj, version=version, nbytes=nbytes
         )
         self.used_bytes += nbytes
+
+    def program(self, obj: MultimediaObject, page_height: int) -> VisualProgram:
+        """The page program of ``obj``, compiled once per entry and height.
+
+        Sessions share the program read-only.  An object that is not
+        this cache's current entry (never admitted, evicted, or
+        replaced) is compiled afresh.  Neither the hit counters nor the
+        LRU order move.
+        """
+        entry = self._entries.get(obj.object_id)
+        if entry is None or entry.obj is not obj:
+            return compile_visual_program(obj, page_height=page_height)
+        program = entry.programs.get(page_height)
+        if program is None:
+            program = compile_visual_program(obj, page_height=page_height)
+            entry.programs[page_height] = program
+        return program
 
     def invalidate(self, object_id: ObjectId) -> bool:
         """Explicitly drop an entry; True if one was present."""

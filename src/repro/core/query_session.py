@@ -60,11 +60,6 @@ class QueryBrowser:
         return self._state
 
     @property
-    def result_count(self) -> int:
-        """Number of qualifying objects for the current filter."""
-        return len(self._result_ids)
-
-    @property
     def filter_description(self) -> str:
         """Human-readable current filter."""
         parts = []

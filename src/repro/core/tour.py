@@ -40,11 +40,6 @@ class TourController:
         self._view = View(image, rect, data_source=data_source)
 
     @property
-    def stops_remaining(self) -> int:
-        """Number of stops not yet visited."""
-        return len(self._tour.stops) - self._next_stop
-
-    @property
     def view(self) -> View:
         """The tour's moving window."""
         return self._view

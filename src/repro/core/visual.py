@@ -11,6 +11,7 @@ data from the server).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.browsing import BrowseCommand
@@ -28,7 +29,6 @@ from repro.objects.anchors import ImageAnchor, TextAnchor
 from repro.objects.logical import LogicalUnitKind
 from repro.objects.model import DrivingMode, MultimediaObject
 from repro.objects.presentation import TransparencyMode
-from repro.text.search import TextSearchIndex
 from repro.trace import EventKind
 from repro.workstation.menus import Menu, MenuOption
 from repro.workstation.station import Workstation
@@ -79,8 +79,11 @@ class VisualSession:
         #: Simulated cost (disk service + network) of fetching this
         #: object; set by the presentation manager on session creation.
         self.open_cost_s = 0.0
-        self._program = compile_visual_program(
-            obj, page_height=workstation.screen.text_lines
+        page_height = workstation.screen.text_lines
+        self._program = (
+            manager.decoded_cache.program(obj, page_height)
+            if manager is not None
+            else compile_visual_program(obj, page_height=page_height)
         )
         self._messages = MessageEngine(obj)
         self._current: int = 0  # 0 = nothing displayed yet
@@ -90,7 +93,6 @@ class VisualSession:
         # and pattern navigation advance it to the target, so repeated
         # "next chapter" / "find again" keep moving forward.
         self._offset_cursor: float = 0.0
-        self._search_indexes: dict = {}
         self._last_find: tuple[str, float] | None = None
         self._view: View | None = None
         self._sim_speed = 1.0
@@ -118,7 +120,8 @@ class VisualSession:
 
     @property
     def program(self):
-        """The compiled page program."""
+        """The compiled page program, shared read-only with every other
+        session on the same decoded object."""
         return self._program
 
     @property
@@ -152,14 +155,9 @@ class VisualSession:
     # menu
     # ------------------------------------------------------------------
 
-    @property
-    def menu(self) -> Menu:
-        """The operations available right now.
-
-        Derived from the object ("the presentation and browsing
-        functions which are available for each multimedia object depend
-        on the object itself") and from the current page.
-        """
+    @cached_property
+    def _object_menu_options(self) -> list[MenuOption]:
+        """The menu options that depend on the object alone."""
         options: list[MenuOption] = []
 
         def add(command: BrowseCommand, label: str) -> None:
@@ -180,6 +178,20 @@ class VisualSession:
 
         if self._obj.text_segments:
             add(BrowseCommand.FIND_PATTERN, "find pattern")
+        return options
+
+    @property
+    def menu(self) -> Menu:
+        """The operations available right now.
+
+        Derived from the object ("the presentation and browsing
+        functions which are available for each multimedia object depend
+        on the object itself") and from the current page.
+        """
+        options = list(self._object_menu_options)
+
+        def add(command: BrowseCommand, label: str) -> None:
+            options.append(MenuOption(command=command.value, label=label))
 
         if self._visible_indicator_dicts():
             add(BrowseCommand.SELECT_RELEVANT, "relevant object")
@@ -559,14 +571,6 @@ class VisualSession:
     # pattern search
     # ------------------------------------------------------------------
 
-    def _index_for(self, segment_id) -> TextSearchIndex:
-        if segment_id not in self._search_indexes:
-            segment = self._obj.text_segment(segment_id)
-            self._search_indexes[segment_id] = TextSearchIndex.from_text(
-                segment.plain_text
-            )
-        return self._search_indexes[segment_id]
-
     def find_pattern(self, pattern: str = "") -> int | None:
         """Show the next page with an occurrence of ``pattern``.
 
@@ -593,7 +597,7 @@ class VisualSession:
         )
         start_index = segment_order.index(start_segment)
         for segment_id in segment_order[start_index:]:
-            index = self._index_for(segment_id)
+            index = self._obj.text_segment(segment_id).search_index
             threshold = after if segment_id == start_segment else -1.0
             hit = index.next_occurrence(pattern, threshold)
             if hit is not None:

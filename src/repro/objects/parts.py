@@ -46,6 +46,14 @@ class TextSegment:
         return self.document.plain_text
 
     @cached_property
+    def search_index(self):
+        """Term index of :attr:`plain_text` by character offset
+        (:class:`repro.text.search.TextSearchIndex`), for pattern search."""
+        from repro.text.search import TextSearchIndex
+
+        return TextSearchIndex.from_text(self.plain_text)
+
+    @cached_property
     def logical_index(self) -> LogicalIndex:
         """Logical structure derived from the markup tags."""
         return self.document.logical_index

@@ -766,13 +766,14 @@ class Archiver:
                         f"{tag!r} of length {piece.length}"
                     )
                 extent = Extent(piece.offset + start, length)
-                if index == 0:
-                    data, service = self._disk.read(extent)
-                else:
-                    data, service = self._disk.read(extent)
+                data, service = self._disk.read(extent)
+                if index:
                     # Subsequent window rows are near-sequential: charge
-                    # transfer only, not a fresh seek.
-                    service = length / self._disk.geometry.transfer_bytes_per_s
+                    # transfer only, not a fresh seek, and take the
+                    # seek the read charged off the device's busy time.
+                    transfer = length / self._disk.geometry.transfer_bytes_per_s
+                    self._disk.stats.busy_time_s -= service - transfer
+                    service = transfer
                 rows.append(data)
                 total_service += service
         return rows, total_service

@@ -63,15 +63,10 @@ class CharacterFrame:
         """Write ``text`` at (row, column), clipped to the frame."""
         if not 0 <= row < self._layout.height:
             return
-        for offset, char in enumerate(text):
-            col = column + offset
-            if 0 <= col < self._layout.width:
-                self._rows[row][col] = char
-
-    def fill_row(self, row: int, char: str) -> None:
-        """Fill an entire row with one character."""
-        if 0 <= row < self._layout.height:
-            self._rows[row] = [char] * self._layout.width
+        start = max(column, 0)
+        end = min(column + len(text), self._layout.width)
+        if start < end:
+            self._rows[row][start:end] = text[start - column : end - column]
 
 
 def render_frame(
@@ -89,24 +84,23 @@ def render_frame(
     """
     layout = layout or FrameLayout()
     frame = CharacterFrame(layout)
+    content_width = layout.content_width
 
     # Right-hand menu, one option per row (Figures 1-2 style).
-    menu_col = layout.content_width + 1
+    menu_col = content_width + 1
     for row in range(layout.height):
-        frame.put(row, layout.content_width, "|")
+        frame.put(row, content_width, "|")
     for index, option in enumerate(menu):
         frame.put(index, menu_col, f"[{option.label[: layout.menu_width - 2]}]")
 
     content_top = 0
     if pinned_text or pinned_image:
         marker = "[IMAGE]" if pinned_image else ""
-        frame.put(0, 0, (marker + " " + pinned_text)[: layout.content_width])
+        frame.put(0, 0, (marker + " " + pinned_text)[:content_width])
         for row in range(1, layout.pinned_rows - 1):
             if pinned_image:
-                frame.put(row, 0, "#" * min(20, layout.content_width))
-        rule_row = layout.pinned_rows - 1
-        for col in range(layout.content_width):
-            frame.put(rule_row, col, _RULE)
+                frame.put(row, 0, "#" * min(20, content_width))
+        frame.put(layout.pinned_rows - 1, 0, _RULE * content_width)
         content_top = layout.pinned_rows
 
     if page is not None:
@@ -119,12 +113,10 @@ def render_frame(
                     if row >= layout.height:
                         break
                     frame.put(
-                        row,
-                        0,
-                        f"%% image {element.image_tag} %%"[: layout.content_width],
+                        row, 0, f"%% image {element.image_tag} %%"[:content_width]
                     )
                     row += 1
             else:
-                frame.put(row, 0, element.line.text[: layout.content_width])
+                frame.put(row, 0, element.line.text[:content_width])
                 row += 1
     return frame

@@ -10,6 +10,7 @@ from repro.audio.codec import (
     mu_law_encode,
 )
 from repro.errors import AudioError
+from tests import audio_reference as reference
 
 
 class TestMuLaw:
@@ -66,3 +67,41 @@ class TestRecordingCodec:
         original = detect_silences(short_speech)
         recovered = detect_silences(rebuilt)
         assert abs(len(original) - len(recovered)) <= 2
+
+
+class TestTableDecode:
+    """The lookup table decodes exactly as the expansion formula did."""
+
+    @staticmethod
+    def _assert_identical(data: bytes) -> None:
+        decoded, expected = mu_law_decode(data), reference.mu_law_decode(data)
+        assert decoded.dtype == np.float32
+        assert decoded.shape == expected.shape
+        assert decoded.tobytes() == expected.tobytes()
+        assert decoded.flags.writeable
+
+    def test_every_byte_value(self):
+        self._assert_identical(bytes(range(256)))
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 255, 257, 8001])
+    def test_odd_length_buffers(self, length):
+        rng = np.random.default_rng(length)
+        self._assert_identical(
+            rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+        )
+
+    def test_every_library_recording(self):
+        from repro.scenarios import build_object_library
+        from repro.scenarios.city import build_city_walk_simulation
+        from repro.server import Archiver
+
+        library = build_object_library(Archiver())
+        library.append(build_city_walk_simulation())
+        recordings = [
+            part.recording
+            for obj in library
+            for part in (*obj.voice_segments, *obj.voice_messages)
+        ]
+        assert len(recordings) >= 5
+        for recording in recordings:
+            self._assert_identical(mu_law_encode(recording.samples))

@@ -1,6 +1,8 @@
 """Pause detection and classification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audio.pauses import (
     AdaptivePauseClassifier,
@@ -13,6 +15,7 @@ from repro.audio.pauses import (
 )
 from repro.audio.signal import synthesize_speech
 from repro.errors import AudioError
+from tests import audio_reference as reference
 
 
 class TestFrameRms:
@@ -150,3 +153,82 @@ class TestPauseIndex:
         middle = pauses[len(pauses) // 2]
         target = index.rewind_position(middle.end + 0.01, PauseKind.SHORT, 1)
         assert target <= middle.end + 0.01
+
+
+def _back_to_back(steps) -> list[Pause]:
+    """Pauses of ``(duration, jitter, speech after)`` steps, in order."""
+    pauses, t = [], 0.0
+    for tier, jitter, speech in steps:
+        pauses.append(Pause(t, t + tier * jitter))
+        t += tier * jitter + speech
+    return pauses
+
+
+class TestSharedContextSplits:
+    """Splitting each distinct context once labels exactly as
+    splitting every pause's context did."""
+
+    _tiers = st.sampled_from([0.06, 0.08, 0.09, 0.35, 0.4, 0.45, 1.2, 1.5])
+
+    # Word, sentence and paragraph gaps between stretches of speech,
+    # as a recording yields them ...
+    _speech = st.lists(
+        st.tuples(
+            _tiers,
+            st.floats(min_value=0.8, max_value=1.25),
+            st.floats(min_value=0.1, max_value=2.0),
+        ),
+        min_size=1,
+        max_size=80,
+    ).map(_back_to_back)
+    # ... and scattered ones: quarter-second starts and binary-fraction
+    # durations put pauses exactly half a window apart, on the edge of
+    # each other's context.
+    _scattered = st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(min_value=0, max_value=960).map(lambda k: k / 4),
+                st.floats(min_value=0.0, max_value=240.0),
+            ),
+            st.one_of(
+                st.sampled_from([0.5, 1.0, 2.0]),
+                _tiers,
+                st.floats(min_value=0.02, max_value=3.0),
+            ),
+        ).map(lambda pair: Pause(pair[0], pair[0] + pair[1])),
+        max_size=80,
+    )
+    # Either kind in any order: classify takes pauses as given.
+    _pauses = st.one_of(_speech, _scattered).flatmap(st.permutations)
+
+    @settings(max_examples=200)
+    @given(pauses=_pauses, window=st.sampled_from([2.0, 5.0, 10.0, 30.0, 500.0]))
+    def test_matches_per_pause_reference(self, pauses, window):
+        assert AdaptivePauseClassifier(window_s=window).classify(
+            pauses
+        ) == reference.PerPauseClassifier(window_s=window).classify(pauses)
+
+    def test_matches_reference_on_speech(self, two_speaker_recordings):
+        for recording in two_speaker_recordings:
+            pauses = detect_silences(recording)
+            assert AdaptivePauseClassifier(window_s=8.0).classify(
+                pauses
+            ) == reference.PerPauseClassifier(window_s=8.0).classify(pauses)
+
+    def test_each_distinct_context_is_split_once(self, monkeypatch):
+        classifier = AdaptivePauseClassifier(window_s=10.0)
+        calls = []
+        split = classifier._top_tier_threshold
+        monkeypatch.setattr(
+            classifier, "_top_tier_threshold",
+            lambda durations: calls.append(len(durations)) or split(durations),
+        )
+        # Two clusters 100 s apart: every pause of a cluster samples
+        # the same context.
+        pauses = [
+            Pause(base + i, base + i + (0.5 if i % 3 else 0.1))
+            for base in (0.0, 100.0)
+            for i in range(4)
+        ]
+        classifier.classify(pauses)
+        assert calls == [8, 4, 4]  # the whole recording, then each cluster

@@ -191,6 +191,64 @@ class TestDecodedObjectCache:
             DecodedObjectCache(capacity_bytes=0)
 
 
+class TestComputedOncePerObject:
+    """Sessions on one cached object share its pure results read-only."""
+
+    def test_two_sessions_share_program_and_navigate_independently(self):
+        archiver = _library_archiver()
+        manager = PresentationManager(archiver, Workstation())
+        object_id = _visual_id(archiver)
+        first = manager.open(object_id)
+        first_frame = first.render_screen().render()
+        first.next_page()
+        second = manager.open(object_id)
+        assert second.program is first.program
+        segment = first.object.text_segments[0]
+        assert second.object.text_segments[0].search_index is segment.search_index
+        assert (first.current_page_number, second.current_page_number) == (2, 1)
+        assert second.render_screen().render() == first_frame
+        second.next_page()
+        first.previous_page()
+        assert (first.current_page_number, second.current_page_number) == (1, 2)
+        assert first.render_screen().render() == first_frame
+        assert manager.decoded_cache.hits == 1
+
+    def test_version_bump_compiles_a_new_program(self):
+        archiver = _library_archiver()
+        manager = PresentationManager(archiver, Workstation())
+        object_id = _visual_id(archiver)
+        before = manager.open(object_id)
+        archiver.attach_recognition(object_id, {})
+        after = manager.open(object_id)
+        assert after.object is not before.object
+        assert after.program is not before.program
+        assert [p.kind for p in after.program.pages] == [
+            p.kind for p in before.program.pages
+        ]
+
+    def test_object_outside_the_cache_compiles_its_own_program(self):
+        archiver = _library_archiver()
+        manager = PresentationManager(
+            archiver, Workstation(), decoded_cache_bytes=1
+        )
+        object_id = _visual_id(archiver)
+        first = manager.open(object_id)
+        second = manager.open(object_id)
+        assert len(manager.decoded_cache) == 0
+        assert second.object is not first.object
+        assert second.program is not first.program
+
+    def test_program_lookup_moves_no_counter(self):
+        archiver = _library_archiver()
+        manager = PresentationManager(archiver, Workstation())
+        session = manager.open(_visual_id(archiver))
+        cache = manager.decoded_cache
+        counters = (cache.hits, cache.misses, cache.used_bytes, cache.evictions)
+        page_height = manager.workstation.screen.text_lines
+        assert cache.program(session.object, page_height) is session.program
+        assert (cache.hits, cache.misses, cache.used_bytes, cache.evictions) == counters
+
+
 class TestLazyVoiceDecode:
     def test_no_decode_at_open_of_visual_object(self):
         archiver = _library_archiver()

@@ -211,6 +211,22 @@ class TestPartialReads:
             separate += t
         assert scatter_time < separate
 
+    def test_scatter_rows_charge_the_device_what_they_return(self, generator):
+        archiver = Archiver()
+        obj = _windowed_object(generator)
+        archiver.store(obj)
+        tag = f"image/{obj.images[0].image_id}"
+        ranges = [(row * 40, 40) for row in range(20)]
+        stats = archiver.disk.stats
+        busy, reads = stats.busy_time_s, stats.reads
+        _, service = archiver.read_piece_rows(obj.object_id, tag, ranges)
+        assert stats.busy_time_s - busy == pytest.approx(service, rel=1e-9)
+        assert stats.reads - reads == len(ranges)
+        # Only the first row pays a seek; the rest are transfer only.
+        geometry = archiver.disk.geometry
+        transfer = 40 / geometry.transfer_bytes_per_s
+        assert service - 19 * transfer > geometry.rotational_latency_s / 2
+
 
 class TestCacheIntegration:
     def test_cache_hit_is_free(self, generator):

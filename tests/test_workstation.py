@@ -86,3 +86,22 @@ class TestMenu:
         assert len(menu) == 2
         assert menu.commands == ["next_page", "find"]
         assert [o.command for o in menu] == ["next_page", "find"]
+
+
+class TestCharacterFrame:
+    def test_put_clips_like_a_write_per_character(self):
+        from repro.workstation.framebuffer import CharacterFrame, FrameLayout
+
+        layout = FrameLayout(width=10, height=3, menu_width=2, pinned_rows=1)
+        for row in (-1, 0, 2, 3):
+            for column in (-12, -3, 0, 4, 9, 10, 15):
+                for text in ("", "a", "abcdef", "x" * 14):
+                    frame = CharacterFrame(layout)
+                    frame.put(row, column, text)
+                    grid = [[" "] * layout.width for _ in range(layout.height)]
+                    for col, char in enumerate(text, start=column):
+                        if 0 <= row < layout.height and 0 <= col < layout.width:
+                            grid[row][col] = char
+                    assert [frame.row(i) for i in range(layout.height)] == [
+                        "".join(cells) for cells in grid
+                    ], (row, column, text)
