@@ -48,15 +48,6 @@ class ClusterMetricsSnapshot:
         """Fraction of hedged reads the hedge actually won."""
         return self.hedge_wins / self.hedges if self.hedges else 0.0
 
-    @property
-    def read_balance_ratio(self) -> float:
-        """Max over mean reads per serving node (1.0 = perfectly even)."""
-        if not self.node_reads:
-            return 0.0
-        loads = list(self.node_reads.values())
-        mean = sum(loads) / len(loads)
-        return max(loads) / mean if mean else 0.0
-
 
 class ClusterMetrics:
     """Thread-safe instrumentation for the cluster router and rebalancer."""

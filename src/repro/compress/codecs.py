@@ -12,7 +12,8 @@ frame records the codec, so decode needs neither):
 ``dvarint``
     Byte-delta with zero-runs escaped as ``0x00`` + varint run length,
     for mu-law voice.  Silence (and any held sample) deltas to zero;
-    busy speech stays byte-for-byte and falls back to ``stored``.
+    busy speech stays byte-for-byte and falls back to ``stored``, which
+    :func:`dvarint_saving_bound` predicts without running the encoder.
 
 ``deflate``
     ``zlib`` for text markup and structured metadata pieces.
@@ -259,6 +260,27 @@ def dvarint_encode(raw: bytes) -> bytes:
     varint[digit < width[run] - 1] |= 0x80
     behind = np.repeat(escape + 1, width)
     return np.insert(delta[keep], behind, varint).tobytes()
+
+
+def dvarint_saving_bound(raw: bytes) -> int:
+    """The most bytes :func:`dvarint_encode` can save on ``raw``.
+
+    A run of zero deltas becomes a ``0x00`` escape plus a varint of at
+    least one byte, and every other delta ships as itself, so the
+    payload saves at most ``zeros - 2 * runs`` bytes: ``zeros`` counts
+    the zero deltas (the first delta is the first byte itself) and
+    ``runs`` the maximal runs of them.  The bound is exact when every
+    run is shorter than 128, its varint then one byte; at or below zero
+    the payload cannot be shorter than ``raw``.
+    """
+    if not raw:
+        return 0
+    arr = np.frombuffer(raw, dtype=np.uint8)
+    zero = np.empty(len(arr), dtype=np.bool_)
+    zero[0] = arr[0] == 0
+    np.equal(arr[1:], arr[:-1], out=zero[1:])
+    runs = int(zero[0]) + int(np.count_nonzero(zero[1:] > zero[:-1]))
+    return int(np.count_nonzero(zero)) - 2 * runs
 
 
 def dvarint_decode(payload: bytes, raw_len: int) -> bytes:

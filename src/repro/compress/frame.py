@@ -31,10 +31,12 @@ from dataclasses import dataclass
 
 from repro.compress.codecs import (
     DECODERS,
+    DVARINT,
     ENCODERS,
     STORED,
     codec_for_kind,
     codec_name,
+    dvarint_saving_bound,
 )
 from repro.errors import MediaCodecError
 
@@ -95,8 +97,13 @@ def encode_piece(raw: bytes, kind) -> tuple[bytes, str]:
     Returns ``(frame, codec_name)``.  Falls back to ``stored`` when the
     codec's payload is not strictly smaller than the raw bytes, so the
     frame is never more than ``HEADER_SIZE`` bytes larger than ``raw``.
+    A ``dvarint`` piece whose :func:`dvarint_saving_bound` shows it
+    cannot pay (busy speech) goes to ``stored`` without the trial
+    encode, to the same frame.
     """
     codec_id = codec_for_kind(kind)
+    if codec_id == DVARINT and dvarint_saving_bound(raw) <= 0:
+        codec_id = STORED
     payload = ENCODERS[codec_id](raw)
     if codec_id != STORED and len(payload) >= len(raw):
         codec_id, payload = STORED, raw

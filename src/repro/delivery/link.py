@@ -91,10 +91,6 @@ class SharedLink:
         """Simulated time at which the medium is next idle."""
         return self._free_s
 
-    def chunk_time(self, nbytes: int) -> float:
-        """Medium occupancy of one ``nbytes`` chunk (no queueing)."""
-        return self._link.transfer_time(nbytes)
-
     def transmit(
         self,
         station: str,

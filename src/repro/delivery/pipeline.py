@@ -173,11 +173,6 @@ class DeliveryReport:
         """Median page-turn latency, local hits included."""
         return self.page_latency_percentile(50)
 
-    @property
-    def max_startup_latency_s(self) -> float:
-        """Worst stream startup latency."""
-        return max(self.startup_latencies) if self.startup_latencies else 0.0
-
 
 def page_extents_for(
     archiver: Archiver | CachingArchiver, object_id: ObjectId, page_bytes: int

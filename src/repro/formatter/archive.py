@@ -39,11 +39,6 @@ class ArchivedObjectBytes:
     data: bytes
     descriptor_length: int
 
-    @property
-    def composition_offset(self) -> int:
-        """Offset of the composition file within the archived bytes."""
-        return _HEADER.size + self.descriptor_length
-
 
 def pack_archived(descriptor: Descriptor, composition: bytes) -> ArchivedObjectBytes:
     """Concatenate descriptor and composition into the archived form."""

@@ -67,10 +67,6 @@ class SpanContext:
                 return value
         return default
 
-    def child_of(self, span_id: int) -> "SpanContext":
-        """Context for a new span parented on ``span_id`` in this trace."""
-        return SpanContext(self.trace_id, span_id, self.span_id, self.baggage)
-
 
 @dataclass(frozen=True, slots=True)
 class Span:

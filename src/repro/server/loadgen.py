@@ -82,11 +82,6 @@ class LoadReport:
         return shared_percentile(self.latencies, p)
 
     @property
-    def p50_s(self) -> float:
-        """Median simulated latency."""
-        return self.percentile(50)
-
-    @property
     def p95_s(self) -> float:
         """95th-percentile simulated latency."""
         return self.percentile(95)

@@ -75,11 +75,6 @@ class RecoveryReport:
         """Total reclaimable bytes across all dead extents."""
         return sum(extent.length for extent in self.dead_extents)
 
-    @property
-    def rolled_back_any(self) -> bool:
-        """Whether any transaction was rolled back."""
-        return self.stores_rolled_back + self.recognitions_rolled_back > 0
-
 
 def encode_side_table(side_table: dict) -> dict:
     """Serialize a recognition side table for the journal payload."""

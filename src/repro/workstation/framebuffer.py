@@ -86,10 +86,12 @@ def render_frame(
     frame = CharacterFrame(layout)
     content_width = layout.content_width
 
-    # Right-hand menu, one option per row (Figures 1-2 style).
+    # Right-hand menu, one option per row (Figures 1-2 style), behind a
+    # column rule written straight into the grid.
     menu_col = content_width + 1
-    for row in range(layout.height):
-        frame.put(row, content_width, "|")
+    if 0 <= content_width < layout.width:
+        for cells in frame._rows:
+            cells[content_width] = "|"
     for index, option in enumerate(menu):
         frame.put(index, menu_col, f"[{option.label[: layout.menu_width - 2]}]")
 

@@ -6,13 +6,18 @@ per-run and per-control loops that code replaced, kept verbatim as the
 oracle for the differential tests in ``tests/test_property_compress.py``:
 the numpy encoders must emit these exact bytes, and the numpy decoder
 must return the same bytes and raise :class:`MediaCodecError` on the
-same malformed payloads.  Nothing under ``src/`` imports this module.
+same malformed payloads.  :func:`encode_piece` is the frame encoder
+that ran every codec as a trial, before ``dvarint`` pieces that cannot
+pay skipped it; the frame encoder must still emit its exact frames.
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.compress.codecs import ENCODERS, STORED, codec_for_kind, codec_name
+from repro.compress.frame import _CRC, _FRAME, FRAME_MAGIC, _crc
 from repro.errors import MediaCodecError
 
 
@@ -130,3 +135,20 @@ def dvarint_encode(raw: bytes) -> bytes:
         else:
             out += delta[start:end].tobytes()
     return bytes(out)
+
+
+def encode_piece(raw: bytes, kind) -> tuple[bytes, str]:
+    """Frame ``raw`` with the preferred codec for ``kind``.
+
+    Returns ``(frame, codec_name)``.  Falls back to ``stored`` when the
+    codec's payload is not strictly smaller than the raw bytes, so the
+    frame is never more than ``HEADER_SIZE`` bytes larger than ``raw``.
+    """
+    codec_id = codec_for_kind(kind)
+    payload = ENCODERS[codec_id](raw)
+    if codec_id != STORED and len(payload) >= len(raw):
+        codec_id, payload = STORED, raw
+    raw_len = len(raw)
+    header = _FRAME.pack(FRAME_MAGIC, codec_id, raw_len)
+    crc = _CRC.pack(_crc(codec_id, raw_len, payload))
+    return header + crc + payload, codec_name(codec_id)

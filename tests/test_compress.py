@@ -1,7 +1,8 @@
 """Transparent per-piece media compression (repro.compress).
 
 Codec and frame units, the archiver/formatter integration (compressed
-platter extents, raw windowed bitmaps, off-switch byte behaviour), the
+platter extents, raw windowed bitmaps, off-switch byte behaviour, voice
+pieces that skip or keep the ``dvarint`` trial encode), the
 accounting surface (DiskStats, the ``encode`` and ``decode:<codec>``
 spans), the decode bounds against crafted frames, and the
 hard-vs-transient decode error contract.
@@ -16,6 +17,8 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.audio import Recording
+from repro.audio.codec import mu_law_decode, mu_law_encode
 from repro.compress import (
     DEFLATE,
     DVARINT,
@@ -33,6 +36,7 @@ from repro.compress import (
     maybe_decode,
 )
 from repro.compress.codecs import (
+    ENCODERS,
     dvarint_decode,
     dvarint_encode,
     rle8_decode,
@@ -53,8 +57,10 @@ from repro.objects import (
     PresentationSpec,
     TextFlow,
     TextSegment,
+    VoiceSegment,
 )
 from repro.obs import SpanKind, SpanRecorder
+from repro.scenarios.library import build_object_library
 from repro.scenarios.office import build_office_document
 from repro.server.archiver import Archiver, CachingArchiver
 from repro.storage.cache import LRUCache
@@ -89,6 +95,29 @@ def _visual_object(generator, *, represented=False):
         items=[TextFlow(segment.segment_id), ImagePage(image.image_id)]
     )
     return obj.archive()
+
+
+def _voice_object(generator, samples):
+    obj = MultimediaObject(
+        object_id=generator.object_id(),
+        driving_mode=DrivingMode.AUDIO,
+        attributes=AttributeSet.of(topic="compress"),
+    )
+    segment = VoiceSegment(
+        segment_id=generator.segment_id(),
+        recording=Recording(samples, sample_rate=8000),
+    )
+    obj.add_voice_segment(segment)
+    obj.presentation = PresentationSpec(audio_order=[segment.segment_id])
+    return obj.archive()
+
+
+def _voice_frame(archiver, obj) -> bytes:
+    """The stored piece of an audio object's one voice segment."""
+    tag = f"voice/{obj.voice_segments[0].segment_id}"
+    extent = archiver.data_extent(obj.object_id, tag)
+    data, _ = archiver.read_absolute(extent.offset, extent.length)
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -432,6 +461,43 @@ class TestArchiverIntegration:
         )
         rebuilt, _ = archiver.fetch_object(second.object_id)
         assert rebuilt.images[0].bitmap.equals(first.images[0].bitmap)
+
+
+class TestVoiceStore:
+    def test_library_speech_runs_no_dvarint_encode(self, monkeypatch):
+        # Speech deltas rarely repeat, so the saving bound rules the
+        # codec out and every piece is framed stored without a trial.
+        calls = []
+
+        def counting(raw):
+            calls.append(len(raw))
+            return dvarint_encode(raw)
+
+        monkeypatch.setitem(ENCODERS, DVARINT, counting)
+        archiver = Archiver()
+        objects = build_object_library(
+            archiver, visual_count=0, audio_count=12, seed=0
+        )
+        assert calls == []
+        frames = [_voice_frame(archiver, obj) for obj in objects]
+        assert [frame_codec(frame) for frame in frames] == [STORED] * 12
+
+    @pytest.mark.parametrize("level", [0.0, 0.25], ids=["silent", "held"])
+    def test_quiet_recording_keeps_dvarint(self, generator, level):
+        samples = np.full(16000, level, dtype=np.float32)
+        archiver = Archiver()
+        obj = _voice_object(generator, samples)
+        archiver.store(obj)
+        frame = _voice_frame(archiver, obj)
+        assert frame_codec(frame) == DVARINT
+        assert len(frame) < HEADER_SIZE + 16
+        assert maybe_decode(frame) == mu_law_encode(samples)
+        rebuilt, _ = archiver.fetch_object(obj.object_id)
+        recording = rebuilt.voice_segments[0].recording
+        assert (
+            recording.samples.tobytes()
+            == mu_law_decode(mu_law_encode(samples)).tobytes()
+        )
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,10 @@ emit.  The digests below were taken from the loop codecs, before they
 were vectorized; a codec change that alters a single byte of any frame
 fails here, naming the piece.
 
-Every voice piece rides the ``stored`` fallback, so its frame does not
-show the ``dvarint`` stream; the discarded ``dvarint`` payloads are
-pinned separately.
+Every voice piece is framed ``stored``: its ``dvarint`` saving bound
+shows the codec cannot pay, so the store path never builds the
+payload.  The ``dvarint`` encoder is still pinned, by the payload it
+makes for each of those pieces when called directly.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ Over randomized rasters, waveforms and text:
 * the numpy ``rle8`` and ``dvarint`` code agrees with the loop codecs it
   replaced (``tests/codec_reference.py``): the encoders emit the same
   bytes, and the decoder returns the same bytes or fails with the same
-  error, malformed payloads included.
+  error, malformed payloads included;
+* ``dvarint_saving_bound`` never says a ``dvarint`` payload cannot pay
+  when it would, so ``encode_piece``, which then skips the trial
+  encode, emits the frames of the always-trial encoder it replaced.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.compress.codecs import (
     DVARINT,
     RLE8,
     dvarint_encode,
+    dvarint_saving_bound,
     rle8_decode,
     rle8_encode,
 )
@@ -251,3 +255,72 @@ def test_rle8_decode_of_arbitrary_bytes_matches_reference(payload, raw_len):
     assert _outcome(rle8_decode, payload, raw_len) == _outcome(
         reference.rle8_decode, payload, raw_len
     )
+
+
+# ----------------------------------------------------------------------
+# the dvarint saving bound: encode_piece skips only trials that lose
+# ----------------------------------------------------------------------
+
+#: Zero-run lengths: the shortest, and either side of the varint's
+#: one-to-two and two-to-three byte widths.
+ZERO_RUNS = (1, 2, 3, 127, 128, 129, 16383, 16384)
+
+zero_runs = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from(ZERO_RUNS)), max_size=6
+).map(
+    lambda spans: _raw(
+        _literal(0),
+        *(part for n, run in spans for part in (_literal(n), _run(run))),
+    )
+)
+
+all_zero = st.integers(0, 20000).map(bytes)
+
+bound_inputs = st.one_of(
+    st.just(b""), arbitrary, rasters, waveforms, runny, all_zero, zero_runs
+)
+
+BOUND_CASES = {
+    "empty": b"",
+    "all-zero": bytes(5000),
+    "held-sample": b"\x7f" * 5000,
+    **{f"zero-run-{n}": _raw(_literal(3), _run(n), _literal(3)) for n in ZERO_RUNS},
+    **{f"leading-zero-run-{n}": _raw(_run(n), _literal(3)) for n in ZERO_RUNS},
+}
+
+KINDS = ["image", "voice", "message_voice", "label_voice", "text", "meta", "other"]
+
+
+def _longest_zero_run(raw: bytes) -> int:
+    zero = np.concatenate(([False], reference._delta(raw) == 0, [False]))
+    edges = np.flatnonzero(zero[1:] != zero[:-1])
+    return int((edges[1::2] - edges[::2]).max(initial=0))
+
+
+def _check_bound(raw: bytes) -> None:
+    saving = len(raw) - len(dvarint_encode(raw))
+    bound = dvarint_saving_bound(raw)
+    # The saving never exceeds the bound, so a bound at or below zero
+    # ("cannot pay") means the trial would have fallen back to stored.
+    assert saving <= bound
+    if _longest_zero_run(raw) < 128:  # every varint is one byte
+        assert saving == bound
+
+
+@pytest.mark.parametrize("raw", BOUND_CASES.values(), ids=BOUND_CASES.keys())
+def test_dvarint_saving_bound_on_edge_cases(raw):
+    _check_bound(raw)
+    for kind in KINDS:
+        assert encode_piece(raw, kind) == reference.encode_piece(raw, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_inputs)
+def test_dvarint_saving_bound_is_sound(raw):
+    _check_bound(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(payloads, bound_inputs), st.sampled_from(KINDS))
+def test_encode_piece_matches_always_trial_reference(raw, kind):
+    assert encode_piece(raw, kind) == reference.encode_piece(raw, kind)

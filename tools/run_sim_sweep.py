@@ -7,7 +7,8 @@ model oracle.  A failing seed is automatically shrunk and written out
 as a replayable repro file; the sweep exits non-zero if any seed
 failed.
 
-CI runs a small sweep on every push and a 500-seed sweep nightly::
+CI's sim job runs the 25-seed sweep on every push; the 500-seed sweep
+is run by hand::
 
     PYTHONPATH=src python tools/run_sim_sweep.py --seeds 25
     PYTHONPATH=src python tools/run_sim_sweep.py --seeds 500 --steps 40
