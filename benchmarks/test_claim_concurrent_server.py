@@ -107,18 +107,21 @@ def test_threaded_frontend_shows_same_busy_time_win(library, schedule, results):
         cached = replay_threaded(fe, short)
         snapshot = fe.metrics.snapshot()
     ratio = uncached.device_busy_s / cached.device_busy_s
-    results.record(
-        "C-CONC concurrent frontend",
-        f"threaded frontend, 8 stations: optical busy "
-        f"{uncached.device_busy_s:.1f}s bare vs {cached.device_busy_s:.1f}s "
-        f"cached ({ratio:.1f}x); hit rate {snapshot.hit_rate:.0%}, "
-        f"{cached.device_reads} device reads for {cached.completed} requests",
-    )
     assert uncached.rejected == cached.rejected == 0
     assert ratio >= 2.0
     # Single-flight + cache: device reads bounded by distinct objects.
     assert cached.device_reads <= len(library.object_ids())
     assert snapshot.hit_rate > 0.5
+    # The busy seconds and their ratio depend on the order the pool's
+    # threads reach the device, so the row quotes the bound, not the
+    # run; the reads and hit rate repeat exactly (a piggybacked request
+    # is charged no service, so it counts as a hit).
+    results.record(
+        "C-CONC concurrent frontend",
+        f"threaded frontend, 8 stations: optical busy at least 2x lower "
+        f"cached than bare, no rejections; hit rate {snapshot.hit_rate:.0%}, "
+        f"{cached.device_reads} device reads for {cached.completed} requests",
+    )
 
 
 def test_metrics_histograms_tell_same_story(library, schedule, results):
@@ -163,16 +166,18 @@ def test_admission_control_sheds_load_under_burst(library, results):
     with ServerFrontend(caching, workers=1, queue_depth=2) as fe:
         report = replay_threaded(fe, burst)
         snapshot = fe.metrics.snapshot()
-    results.record(
-        "C-CONC concurrent frontend",
-        f"burst of {len(burst)} requests at queue depth 2: "
-        f"{snapshot.admitted} admitted, {snapshot.rejected} rejected, "
-        f"max queue depth {snapshot.max_queue_depth}",
-    )
     assert report.rejected > 0
     assert snapshot.rejected == report.rejected
     assert snapshot.admitted + snapshot.rejected == len(burst)
     assert snapshot.max_queue_depth <= 2
+    # How many requests get in depends on thread scheduling, so the row
+    # quotes what is asserted, not the run's counts.
+    results.record(
+        "C-CONC concurrent frontend",
+        f"burst of {len(burst)} requests at queue depth 2: some rejected "
+        f"with ServerBusyError, admitted + rejected = {len(burst)}, queue "
+        f"depth never above 2",
+    )
 
 
 def test_virtual_replay_speed(benchmark, library, schedule):

@@ -43,6 +43,23 @@ _UNIT_COMMANDS: dict[BrowseCommand, tuple[LogicalUnitKind, int]] = {
     BrowseCommand.PREVIOUS_PARAGRAPH: (LogicalUnitKind.PARAGRAPH, -1),
 }
 
+#: Every other menu command and the name of the session method it runs.
+_HANDLERS: dict[BrowseCommand, str] = {
+    BrowseCommand.INTERRUPT: "interrupt",
+    BrowseCommand.RESUME: "resume",
+    BrowseCommand.RESUME_PAGE_START: "resume_page_start",
+    BrowseCommand.REWIND_SHORT_PAUSES: "rewind_short_pauses",
+    BrowseCommand.REWIND_LONG_PAUSES: "rewind_long_pauses",
+    BrowseCommand.NEXT_PAGE: "next_page",
+    BrowseCommand.PREVIOUS_PAGE: "previous_page",
+    BrowseCommand.ADVANCE_PAGES: "advance_pages",
+    BrowseCommand.GOTO_PAGE: "goto_page",
+    BrowseCommand.FIND_PATTERN: "find_pattern",
+    BrowseCommand.SELECT_RELEVANT: "_select_relevant",
+    BrowseCommand.RETURN_FROM_RELEVANT: "_return_from_relevant",
+    BrowseCommand.NEXT_RELEVANT_VOICE: "next_relevant_voice",
+}
+
 
 class AudioSession:
     """Interactive browsing of one audio mode object."""
@@ -198,22 +215,8 @@ class AudioSession:
                 f"command {command.value!r} is not on the audio menu "
                 f"(playing={self.is_playing})"
             )
-        handler = {
-            BrowseCommand.INTERRUPT: self.interrupt,
-            BrowseCommand.RESUME: self.resume,
-            BrowseCommand.RESUME_PAGE_START: self.resume_page_start,
-            BrowseCommand.REWIND_SHORT_PAUSES: self.rewind_short_pauses,
-            BrowseCommand.REWIND_LONG_PAUSES: self.rewind_long_pauses,
-            BrowseCommand.NEXT_PAGE: self.next_page,
-            BrowseCommand.PREVIOUS_PAGE: self.previous_page,
-            BrowseCommand.ADVANCE_PAGES: self.advance_pages,
-            BrowseCommand.GOTO_PAGE: self.goto_page,
-            BrowseCommand.FIND_PATTERN: self.find_pattern,
-            BrowseCommand.SELECT_RELEVANT: self._select_relevant,
-            BrowseCommand.RETURN_FROM_RELEVANT: self._return_from_relevant,
-            BrowseCommand.NEXT_RELEVANT_VOICE: self.next_relevant_voice,
-        }.get(command)
-        if handler is None:
+        name = _HANDLERS.get(command)
+        if name is None:
             unit = _UNIT_COMMANDS.get(command)
             if unit is None:  # pragma: no cover - exhaustive command table
                 raise UnknownCommandError(f"no handler for {command.value!r}")
@@ -222,7 +225,7 @@ class AudioSession:
         self._ws.trace.record(
             self._ws.clock.now, EventKind.COMMAND, command=command.value
         )
-        return handler(**kwargs)
+        return getattr(self, name)(**kwargs)
 
     # ------------------------------------------------------------------
     # playback

@@ -46,6 +46,31 @@ _UNIT_COMMANDS: dict[BrowseCommand, tuple[LogicalUnitKind, int]] = {
     BrowseCommand.PREVIOUS_PARAGRAPH: (LogicalUnitKind.PARAGRAPH, -1),
 }
 
+#: Every other menu command and the name of the session method it runs.
+_HANDLERS: dict[BrowseCommand, str] = {
+    BrowseCommand.NEXT_PAGE: "next_page",
+    BrowseCommand.PREVIOUS_PAGE: "previous_page",
+    BrowseCommand.ADVANCE_PAGES: "advance_pages",
+    BrowseCommand.GOTO_PAGE: "goto_page",
+    BrowseCommand.FIND_PATTERN: "find_pattern",
+    BrowseCommand.SELECT_TRANSPARENCIES: "select_transparencies",
+    BrowseCommand.SELECT_OBJECT: "select_object_at",
+    BrowseCommand.HIGHLIGHT_LABELS: "highlight_labels",
+    BrowseCommand.PLAY_ALL_LABELS: "play_all_labels",
+    BrowseCommand.DEFINE_VIEW: "define_view",
+    BrowseCommand.MOVE_VIEW: "move_view",
+    BrowseCommand.JUMP_VIEW: "jump_view",
+    BrowseCommand.RESIZE_VIEW: "resize_view",
+    BrowseCommand.TOGGLE_VOICE_OPTION: "toggle_voice_option",
+    BrowseCommand.START_TOUR: "start_tour",
+    BrowseCommand.INTERRUPT_TOUR: "interrupt_tour",
+    BrowseCommand.RUN_SIMULATION: "run_simulation",
+    BrowseCommand.SET_SIMULATION_SPEED: "set_simulation_speed",
+    BrowseCommand.SELECT_RELEVANT: "_select_relevant",
+    BrowseCommand.RETURN_FROM_RELEVANT: "_return_from_relevant",
+    BrowseCommand.NEXT_RELEVANT_VOICE: "next_relevant_voice",
+}
+
 ViewDataSource = Callable[[Rect], Bitmap]
 
 
@@ -169,9 +194,11 @@ class VisualSession:
             add(BrowseCommand.ADVANCE_PAGES, "advance n pages")
             add(BrowseCommand.GOTO_PAGE, "go to page")
 
+        # The blocks name the unit kinds; the index itself is built on
+        # the first logical-unit command.
         kinds = set()
         for segment in self._obj.text_segments:
-            kinds |= segment.logical_index.kinds_present()
+            kinds |= segment.document.structural_kinds
         for command, (kind, _direction) in _UNIT_COMMANDS.items():
             if kind in kinds:
                 add(command, command.value.replace("_", " "))
@@ -239,30 +266,8 @@ class VisualSession:
                 f"command {command.value!r} is not on the menu for page "
                 f"{self._current}"
             )
-        handler = {
-            BrowseCommand.NEXT_PAGE: self.next_page,
-            BrowseCommand.PREVIOUS_PAGE: self.previous_page,
-            BrowseCommand.ADVANCE_PAGES: self.advance_pages,
-            BrowseCommand.GOTO_PAGE: self.goto_page,
-            BrowseCommand.FIND_PATTERN: self.find_pattern,
-            BrowseCommand.SELECT_TRANSPARENCIES: self.select_transparencies,
-            BrowseCommand.SELECT_OBJECT: self.select_object_at,
-            BrowseCommand.HIGHLIGHT_LABELS: self.highlight_labels,
-            BrowseCommand.PLAY_ALL_LABELS: self.play_all_labels,
-            BrowseCommand.DEFINE_VIEW: self.define_view,
-            BrowseCommand.MOVE_VIEW: self.move_view,
-            BrowseCommand.JUMP_VIEW: self.jump_view,
-            BrowseCommand.RESIZE_VIEW: self.resize_view,
-            BrowseCommand.TOGGLE_VOICE_OPTION: self.toggle_voice_option,
-            BrowseCommand.START_TOUR: self.start_tour,
-            BrowseCommand.INTERRUPT_TOUR: self.interrupt_tour,
-            BrowseCommand.RUN_SIMULATION: self.run_simulation,
-            BrowseCommand.SET_SIMULATION_SPEED: self.set_simulation_speed,
-            BrowseCommand.SELECT_RELEVANT: self._select_relevant,
-            BrowseCommand.RETURN_FROM_RELEVANT: self._return_from_relevant,
-            BrowseCommand.NEXT_RELEVANT_VOICE: self.next_relevant_voice,
-        }.get(command)
-        if handler is None:
+        name = _HANDLERS.get(command)
+        if name is None:
             unit = _UNIT_COMMANDS.get(command)
             if unit is None:  # pragma: no cover - exhaustive command table
                 raise UnknownCommandError(f"no handler for {command.value!r}")
@@ -271,7 +276,7 @@ class VisualSession:
         self._ws.trace.record(
             self._ws.clock.now, EventKind.COMMAND, command=command.value
         )
-        return handler(**kwargs)
+        return getattr(self, name)(**kwargs)
 
     # ------------------------------------------------------------------
     # rendering

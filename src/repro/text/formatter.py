@@ -10,6 +10,7 @@ logical-unit starts are later mapped to page numbers.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from repro.errors import PaginationError
@@ -167,21 +168,17 @@ class TextFormatter:
         return lines
 
 
+#: A word: a maximal run of anything but the space character.
+_WORD = re.compile("[^ ]+")
+
+
 def _words_with_offsets(block: Block) -> list[tuple[str, int, TextStyle]]:
     """Split a block's runs into words, keeping offset and style."""
-    words: list[tuple[str, int, TextStyle]] = []
-    for run in block.runs:
-        position = 0
-        text = run.text
-        while position < len(text):
-            while position < len(text) and text[position] == " ":
-                position += 1
-            start = position
-            while position < len(text) and text[position] != " ":
-                position += 1
-            if position > start:
-                words.append((text[start:position], run.offset + start, run.style))
-    return words
+    return [
+        (match.group(), run.offset + match.start(), run.style)
+        for run in block.runs
+        for match in _WORD.finditer(run.text)
+    ]
 
 
 def _assemble_line(

@@ -102,6 +102,16 @@ class Document:
         """Logical structure derived from the structural directives."""
         return _build_logical_index(self.blocks, self.plain_text)
 
+    @cached_property
+    def structural_kinds(self) -> frozenset[LogicalUnitKind]:
+        """The unit kinds of :attr:`logical_index` above sentences and
+        words, read off the blocks without building the index."""
+        return frozenset(
+            _BLOCK_UNIT_KINDS[block.kind]
+            for block in self.blocks
+            if block.kind in _BLOCK_UNIT_KINDS
+        )
+
     def image_tags(self) -> list[str]:
         """Data tags of all embedded images, in order."""
         return [b.argument for b in self.blocks if b.kind is BlockKind.IMAGE]
@@ -226,6 +236,18 @@ def _parse_inline(raw: str, base_offset: int) -> tuple[list[StyledRun], int]:
         runs.append(StyledRun(text=text, style=style, offset=offset))
         offset += len(text)
     return runs, offset - base_offset
+
+
+#: The unit each structural block opens in :func:`_build_logical_index`:
+#: exactly one, of this kind, whatever blocks surround it.
+_BLOCK_UNIT_KINDS: dict[BlockKind, LogicalUnitKind] = {
+    BlockKind.TITLE: LogicalUnitKind.TITLE,
+    BlockKind.ABSTRACT_START: LogicalUnitKind.ABSTRACT,
+    BlockKind.REFERENCES_START: LogicalUnitKind.REFERENCES,
+    BlockKind.CHAPTER: LogicalUnitKind.CHAPTER,
+    BlockKind.SECTION: LogicalUnitKind.SECTION,
+    BlockKind.PARAGRAPH: LogicalUnitKind.PARAGRAPH,
+}
 
 
 def _build_logical_index(blocks: list[Block], plain_text: str) -> LogicalIndex:

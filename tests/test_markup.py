@@ -1,9 +1,25 @@
 """The declarative markup language."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MarkupError
+from repro.ids import IdGenerator
 from repro.objects.logical import LogicalUnitKind
+from repro.scenarios import (
+    build_audio_mode_report,
+    build_big_map_object,
+    build_city_walk_simulation,
+    build_engineering_design,
+    build_map_tour_object,
+    build_object_library,
+    build_office_document,
+    build_subway_map_with_relevants,
+    build_visual_report_with_xray,
+    build_xray_transparency_object,
+)
+from repro.server import Archiver
 from repro.text.markup import BlockKind, TextStyle, parse_markup
 
 SAMPLE = """@title{The Document}
@@ -132,3 +148,78 @@ class TestLogicalIndex:
         kinds = doc.logical_index.kinds_present()
         assert LogicalUnitKind.CHAPTER not in kinds
         assert LogicalUnitKind.PARAGRAPH in kinds
+
+
+_FINE_KINDS = {LogicalUnitKind.SENTENCE, LogicalUnitKind.WORD}
+
+
+def _assert_structural_kinds_exact(document):
+    kinds = document.structural_kinds
+    assert "logical_index" not in document.__dict__  # read off the blocks
+    assert kinds == document.logical_index.kinds_present() - _FINE_KINDS
+
+
+def _scenario_objects():
+    subway, overlays = build_subway_map_with_relevants()
+    return [
+        *build_object_library(Archiver(), visual_count=8, audio_count=1, seed=3),
+        build_office_document(),
+        build_visual_report_with_xray(),
+        build_xray_transparency_object(),
+        build_audio_mode_report(),
+        subway,
+        *overlays,
+        build_city_walk_simulation(IdGenerator("walk")),
+        build_map_tour_object(),
+        *build_engineering_design(),
+        build_big_map_object(size=256),
+    ]
+
+
+class TestStructuralKinds:
+    """The menu's unit kinds, read off the blocks, equal the index's."""
+
+    def test_sample_and_empty_documents(self):
+        _assert_structural_kinds_exact(parse_markup(SAMPLE))
+        _assert_structural_kinds_exact(parse_markup(""))
+        assert parse_markup(SAMPLE).structural_kinds == {
+            LogicalUnitKind.TITLE,
+            LogicalUnitKind.ABSTRACT,
+            LogicalUnitKind.CHAPTER,
+            LogicalUnitKind.SECTION,
+            LogicalUnitKind.PARAGRAPH,
+            LogicalUnitKind.REFERENCES,
+        }
+
+    def test_every_library_and_scenario_document(self):
+        segments = [
+            segment for obj in _scenario_objects() for segment in obj.text_segments
+        ]
+        assert len(segments) >= 10
+        for segment in segments:
+            _assert_structural_kinds_exact(segment.document)
+
+    @settings(max_examples=300)
+    @given(
+        lines=st.lists(
+            st.sampled_from(
+                [
+                    "@title{T}",
+                    "@abstract",
+                    "@chapter{C}",
+                    "@section{S}",
+                    "@references",
+                    "@image{img}",
+                    "@indent{4}",
+                    "",
+                    "   ",
+                ]
+            )
+            | st.text(st.sampled_from(list("ab .!?'-*_")), max_size=12).filter(
+                lambda line: not line.strip().startswith("@")
+            ),
+            max_size=25,
+        )
+    )
+    def test_random_markup(self, lines):
+        _assert_structural_kinds_exact(parse_markup("\n".join(lines)))
