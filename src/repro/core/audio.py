@@ -216,15 +216,14 @@ class AudioSession:
                 f"(playing={self.is_playing})"
             )
         name = _HANDLERS.get(command)
-        if name is None:
-            unit = _UNIT_COMMANDS.get(command)
-            if unit is None:  # pragma: no cover - exhaustive command table
-                raise UnknownCommandError(f"no handler for {command.value!r}")
-            kind, direction = unit
-            return self.goto_unit(kind, direction)
+        unit = _UNIT_COMMANDS.get(command)
+        if name is None and unit is None:  # pragma: no cover - exhaustive
+            raise UnknownCommandError(f"no handler for {command.value!r}")
         self._ws.trace.record(
             self._ws.clock.now, EventKind.COMMAND, command=command.value
         )
+        if unit is not None:
+            return self.goto_unit(*unit)
         return getattr(self, name)(**kwargs)
 
     # ------------------------------------------------------------------

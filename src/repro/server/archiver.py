@@ -854,11 +854,17 @@ class CachingArchiver:
 
     Piggybacked requests report a service time of 0.0 because they add
     no device busy time; the leader's read is the only one charged.
+
+    :meth:`fetch_object` reads through a second tier in front of that
+    cache: decoded pieces, keyed by platter range and sized like the
+    staging cache.  The platter is write-once, so a range never changes
+    and neither tier needs invalidation.
     """
 
     def __init__(self, archiver: Archiver, cache: LRUCache) -> None:
         self._archiver = archiver
         self._cache = cache
+        self._decoded = LRUCache(cache.capacity_bytes)
         self._flights: dict[str, _Flight] = {}
         self._lock = threading.Lock()
         self.flight_stats = FlightStats()
@@ -909,6 +915,11 @@ class CachingArchiver:
         return self._cache
 
     @property
+    def decoded_pieces(self) -> LRUCache:
+        """The decoded tier :meth:`fetch_object` reads through."""
+        return self._decoded
+
+    @property
     def disk(self) -> SimulatedDisk:
         """The backing device of the wrapped archiver."""
         return self._archiver.disk
@@ -924,14 +935,16 @@ class CachingArchiver:
         return self._archiver.fault_plan
 
     def recover(self, metrics=None) -> RecoveryReport:
-        """Recover the wrapped archiver, dropping this wrapper's cache.
+        """Recover the wrapped archiver, dropping this wrapper's caches.
 
-        The shared cache may hold bytes keyed by pre-crash state, so it
-        is cleared along with the inner archiver's volatile state.
+        The shared cache and the decoded tier may hold bytes keyed by
+        pre-crash state, so both are cleared along with the inner
+        archiver's volatile state.
         """
         report = self._archiver.recover(metrics=metrics)
-        report.cache_entries_dropped += len(self._cache)
+        report.cache_entries_dropped += len(self._cache) + len(self._decoded)
         self._cache.clear()
+        self._decoded.clear()
         return report
 
     def __len__(self) -> int:
@@ -1000,22 +1013,38 @@ class CachingArchiver:
         )
 
     def fetch_object(self, object_id: ObjectId) -> tuple[MultimediaObject, float]:
-        """Fetch and rebuild a complete object, caching each piece read."""
+        """Fetch and rebuild a complete object from decoded pieces.
+
+        Each piece is looked up by its platter range in the decoded
+        tier first.  A hit is charged 0.0 service and touches neither
+        the staging cache nor the device nor
+        :meth:`Archiver.decode_piece`, so it fires no
+        ``compress.decode`` fault and emits no decode marker.  A miss
+        reads the stored piece through the staging cache and
+        single-flight, decodes it and fills the tier.  Two concurrent
+        misses on one piece may both decode it: both produce the same
+        bytes, and the second ``put`` only replaces an equal entry.
+        """
         self._archiver._count("fetch_object")
         record = self._archiver.record(object_id)
         service_total = 0.0
 
-        def archiver_read(offset: int, length: int) -> bytes:
+        def decoded_read(offset: int, length: int) -> bytes:
             nonlocal service_total
-            data, extra = self.read_absolute(offset, length)
-            service_total += extra
-            return data
+            key = f"abs/{offset}/{length}"
+            raw = self._decoded.get(key)
+            if raw is None:
+                data, extra = self.read_absolute(offset, length)
+                service_total += extra
+                raw = self._archiver.decode_piece(data)
+                self._decoded.put(key, raw)
+            return raw
 
         obj = rebuild_object(
             _all_archiver(record.descriptor),
             b"",
-            archiver_read=archiver_read,
-            decoder=self._archiver.decode_piece,
+            archiver_read=decoded_read,
+            decoder=lambda raw: raw,  # decoded_read already decoded
         )
         side_table = self._archiver.recognition_for(object_id)
         if side_table:

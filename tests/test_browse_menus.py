@@ -23,7 +23,9 @@ from repro.objects.model import DrivingMode
 from repro.scenarios import build_object_library
 from repro.server import Archiver
 from repro.text import markup
+from repro.trace import EventKind
 from repro.workstation.station import Workstation
+from repro.workstation.stats import summarize
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,22 @@ def test_cold_open_builds_no_sentence_or_word_unit(library, monkeypatch):
     assert lazy_events == eager_events
     cursors = [cursor for _page, cursor in landings]
     assert cursors == sorted(set(cursors)) and cursors[0] > 0
+
+
+def test_logical_unit_commands_are_traced_like_every_command(library):
+    archiver, objects = library
+    session, workstation = _cold_session(archiver, objects[0].object_id)
+    opened = len(workstation.trace)
+    session.execute(BrowseCommand.NEXT_PARAGRAPH)
+    session.execute(BrowseCommand.NEXT_PARAGRAPH)
+    events = list(workstation.trace)[opened:]
+    # Recorded before the command's handler runs, as for the others.
+    assert events[0].kind is EventKind.COMMAND
+    assert [e.detail for e in events if e.kind is EventKind.COMMAND] == [
+        {"command": "next_paragraph"}
+    ] * 2
+    assert summarize(workstation.trace).commands == 2
+
 
 def _commands_named_in(source: str) -> set[BrowseCommand]:
     return {BrowseCommand[name] for name in re.findall(r"BrowseCommand\.(\w+)", source)}

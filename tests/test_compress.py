@@ -575,6 +575,29 @@ class TestCodecSpans:
             len(data) for data in framed
         )
 
+    def test_caching_fetch_decodes_on_a_tier_miss_only(self, generator):
+        archiver = Archiver()
+        obj = _visual_object(generator, represented=True)
+        record = archiver.store(obj)
+        framed = [
+            data
+            for data in (
+                archiver.read_absolute(loc.offset, loc.length)[0]
+                for loc in record.descriptor.locations
+            )
+            if is_framed(data)
+        ]
+        caching = CachingArchiver(archiver, LRUCache(10_000_000))
+        caching.obs = SpanRecorder()
+        caching.fetch_object(obj.object_id)
+        misses = [s for s in caching.obs.spans() if s.kind is SpanKind.COMPRESS]
+        assert sorted(s.name for s in misses) == sorted(
+            f"decode:{codec_name(frame_codec(data))}" for data in framed
+        )
+        caching.obs.clear()
+        caching.fetch_object(obj.object_id)
+        assert [s for s in caching.obs.spans() if s.kind is SpanKind.COMPRESS] == []
+
 
 # ----------------------------------------------------------------------
 # decode errors: hard vs transient

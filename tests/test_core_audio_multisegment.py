@@ -5,13 +5,16 @@ import pytest
 from repro.audio.recognition import VocabularyRecognizer
 from repro.audio.signal import synthesize_speech
 from repro.core.audio import AudioSession
+from repro.core.browsing import BrowseCommand
 from repro.core.manager import LocalStore, PresentationManager
 from repro.errors import BrowsingError
 from repro.ids import IdGenerator
 from repro.objects import DrivingMode, MultimediaObject, PresentationSpec
 from repro.objects.logical import LogicalIndex, LogicalUnit, LogicalUnitKind
 from repro.objects.parts import VoiceSegment
+from repro.trace import EventKind
 from repro.workstation.station import Workstation
+from repro.workstation.stats import summarize
 
 
 @pytest.fixture
@@ -107,6 +110,18 @@ class TestCrossSegmentNavigation:
             segments[0].duration + segments[1].duration, abs=0.01
         )
         assert second > first
+
+    def test_chapter_command_is_traced_like_every_command(self, session):
+        browsing, segments, workstation = session
+        commands = summarize(workstation.trace).commands
+        opened = len(workstation.trace)
+        browsing.execute(BrowseCommand.NEXT_CHAPTER)
+        events = list(workstation.trace)[opened:]
+        # Recorded before the seek it causes, as for the other commands.
+        assert events[0].kind is EventKind.COMMAND
+        assert events[0].detail == {"command": "next_chapter"}
+        assert summarize(workstation.trace).commands == commands + 1
+        assert browsing.position == pytest.approx(segments[0].duration, abs=0.01)
 
     def test_previous_chapter_crosses_back(self, session):
         browsing, segments, _ = session

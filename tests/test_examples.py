@@ -25,7 +25,7 @@ GOLDEN_STDOUT = {
     "city_guide.py": "e9ebb76b445d7c198a7101e4a7ca6a7c",
     "medical_xray.py": "8fa9dd62094124b80defed8c84aec814",
     "office_filing.py": "c42a4644e52375843b406feb6b8a47c4",
-    "quickstart.py": "5345618b68626b1670eb3661e6a97d7a",
+    "quickstart.py": "6cfba6e70093fc195828f26dfff617d9",
     "telephone_access.py": "87f0ed3dc4a3678e47e56c6bb63d93b2",
     "textbook.py": "7fd322d2256ed693034c3d8b08b68c27",
 }

@@ -4,7 +4,10 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import ArchiverError, ObjectNotFoundError
+from repro.audio.recognition import RecognizedUtterance
+from repro.errors import ArchiverError, ObjectNotFoundError, SimulatedCrash
+from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyDevice
+from repro.faults.registry import DEVICE_WRITE
 from repro.ids import IdGenerator
 from repro.objects import (
     AttributeSet,
@@ -20,8 +23,11 @@ from repro.images.image import Image
 from repro.formatter.builder import ObjectFormatter
 from repro.images.miniature import make_miniature
 from repro.scenarios import build_object_library
+from repro.scenarios.city import build_city_walk_simulation
 from repro.server.archiver import Archiver, CachingArchiver
 from repro.storage.cache import LRUCache
+from repro.storage.optical import OpticalDisk
+from tests.fault_workload import make_voice_object
 
 
 def _simple_object(generator, topic="alpha"):
@@ -244,3 +250,137 @@ class TestCacheIntegration:
         archiver.fetch(obj.object_id)
         result = archiver.fetch(obj.object_id)
         assert result.service_time_s > 0
+
+
+def _counting_decodes(monkeypatch, archiver):
+    """Wrap ``archiver.decode_piece``; returns the list of stored lengths."""
+    calls = []
+    real = archiver.decode_piece
+
+    def counting(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(archiver, "decode_piece", counting)
+    return calls
+
+
+def _formed(obj):
+    formed = ObjectFormatter(compression=False).form(obj)
+    return formed.descriptor.to_bytes(), formed.composition
+
+
+def _library_and_walk():
+    archiver = Archiver()
+    objects = build_object_library(archiver, visual_count=24, audio_count=8)
+    walk = build_city_walk_simulation()
+    archiver.store(walk)
+    return archiver, objects + [walk]
+
+
+class TestDecodedTier:
+    def test_warm_fetch_decodes_nothing_and_rebuilds_the_cold_object(
+        self, monkeypatch
+    ):
+        plain, objects = _library_and_walk()
+        twin, _ = _library_and_walk()
+        caching = CachingArchiver(twin, LRUCache(16 << 20))
+        decodes = _counting_decodes(monkeypatch, twin)
+        for obj in objects:
+            _, cold = caching.fetch_object(obj.object_id)
+            assert cold > 0
+        assert decodes
+        decodes.clear()
+        for obj in objects:
+            warm, service = caching.fetch_object(obj.object_id)
+            assert service == 0.0
+            rebuilt, _ = plain.fetch_object(obj.object_id)
+            assert _formed(warm) == _formed(rebuilt)
+        assert decodes == []
+        tier = caching.decoded_pieces
+        assert tier.capacity_bytes == caching.cache.capacity_bytes
+        assert all(type(tier.get(key)) is bytes for key in tier.keys())
+
+    def test_warm_fetch_carries_recognition_attached_after_it(
+        self, generator, monkeypatch
+    ):
+        archiver = Archiver()
+        obj = make_voice_object(generator, [["alpha", "beta"]])
+        archiver.store(obj)
+        caching = CachingArchiver(archiver, LRUCache(1 << 20))
+        cold, _ = caching.fetch_object(obj.object_id)
+        assert cold.voice_segments[0].utterances == []
+        utterances = [
+            RecognizedUtterance(term="alpha", time=0.0),
+            RecognizedUtterance(term="beta", time=1.0),
+        ]
+        segment_id = obj.voice_segments[0].segment_id
+        caching.attach_recognition(obj.object_id, {segment_id: utterances})
+        decodes = _counting_decodes(monkeypatch, archiver)
+        warm, service = caching.fetch_object(obj.object_id)
+        assert decodes == [] and service == 0.0
+        assert warm.voice_segments[0].utterances == utterances
+
+    def test_recover_drops_the_tier(self, monkeypatch):
+        archiver = Archiver()
+        objects = build_object_library(archiver, visual_count=2, audio_count=1)
+        caching = CachingArchiver(archiver, LRUCache(16 << 20))
+        for obj in objects:
+            caching.fetch_object(obj.object_id)
+        held = len(caching.cache) + len(caching.decoded_pieces)
+        assert len(caching.decoded_pieces) > 0
+        report = caching.recover()
+        assert report.cache_entries_dropped == held
+        assert len(caching.decoded_pieces) == 0
+        assert caching.decoded_pieces.used_bytes == 0
+        decodes = _counting_decodes(monkeypatch, archiver)
+        rebuilt, service = caching.fetch_object(objects[0].object_id)
+        assert decodes and service > 0
+        cold, _ = archiver.fetch_object(objects[0].object_id)
+        assert _formed(rebuilt) == _formed(cold)
+
+    def test_store_after_a_torn_store_never_reuses_its_range(self, generator):
+        # The platter is write-once: a store torn by a crash leaves a
+        # dead extent that recovery accounts for, and the next store is
+        # placed after it.  So a platter range, the tier's key, always
+        # names the same bytes.
+        plan = FaultPlan(
+            [
+                FaultSpec(
+                    site=DEVICE_WRITE,
+                    kind=FaultKind.TORN_WRITE,
+                    hit=2,
+                    tear_fraction=0.5,
+                    then_crash=True,
+                )
+            ]
+        )
+        disk = FaultyDevice(OpticalDisk(), plan)
+        archiver = Archiver(disk=disk, fault_plan=plan)
+        caching = CachingArchiver(archiver, LRUCache(1 << 20))
+        first = _simple_object(generator, "alpha")
+        caching.store(first)
+        caching.fetch_object(first.object_id)
+        before = set(caching.decoded_pieces.keys())
+        with pytest.raises(SimulatedCrash):
+            caching.store(_simple_object(generator, "beta"))
+        report = caching.recover()
+        (dead,) = report.dead_extents
+        fresh = _simple_object(generator, "gamma")
+        record = caching.store(fresh)
+        assert record.extent.offset >= dead.end
+        for location in record.descriptor.locations:
+            assert location.offset >= dead.end
+            assert f"abs/{location.offset}/{location.length}" not in before
+        rebuilt, _ = caching.fetch_object(fresh.object_id)
+        cold, _ = archiver.fetch_object(fresh.object_id)
+        assert _formed(rebuilt) == _formed(cold)
+        live = [caching.record(i).extent for i in caching.object_ids()]
+        for key in caching.decoded_pieces.keys():
+            _, offset, length = key.split("/")
+            offset, length = int(offset), int(length)
+            assert offset + length <= dead.offset or offset >= dead.end
+            assert any(
+                extent.offset <= offset and offset + length <= extent.end
+                for extent in live
+            )

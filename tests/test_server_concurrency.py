@@ -8,10 +8,12 @@ cache coherence — not on thread interleavings.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
+from repro.formatter.builder import ObjectFormatter
 from repro.scenarios import build_object_library
 from repro.server import Archiver, CachingArchiver, ServerFrontend
 from repro.storage.cache import LRUCache
@@ -117,6 +119,41 @@ class TestSingleFlight:
 
 
 class TestFrontendUnderLoad:
+    def test_stations_fetching_the_same_objects_get_equal_rebuilds(self, library):
+        # The rebuilt objects share the decoded tier's bytes, never a
+        # mutable object: every station gets its own equal rebuild.
+        caching = CachingArchiver(library, LRUCache(50_000_000))
+        ids = library.object_ids()
+        formatter = ObjectFormatter(compression=False)
+
+        def formed(obj):
+            stored = formatter.form(obj)
+            return stored.descriptor.to_bytes(), stored.composition
+
+        expected = {i: formed(library.fetch_object(i)[0]) for i in ids}
+        fetched: dict[int, list] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServerFrontend(caching, workers=4, queue_depth=128) as fe:
+                def station(index):
+                    fetched[index] = [
+                        (i, fe.fetch_object(i, station=f"ws-{index}")[0])
+                        for _ in range(3)
+                        for i in ids
+                    ]
+
+                _run_threads(station, count=6)
+        finally:
+            sys.setswitchinterval(interval)
+        pairs = [pair for each in fetched.values() for pair in each]
+        assert len(pairs) == 6 * 3 * len(ids)
+        assert len({id(obj) for _, obj in pairs}) == len(pairs)
+        for object_id, obj in pairs:
+            assert formed(obj) == expected[object_id]
+        tier = caching.decoded_pieces
+        assert tier.used_bytes == sum(len(tier.get(key)) for key in tier.keys())
+
     def test_totals_deterministic_across_stations(self, library):
         caching = CachingArchiver(library, LRUCache(50_000_000))
         ids = library.object_ids()
