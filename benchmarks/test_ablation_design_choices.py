@@ -19,7 +19,7 @@ from repro.scenarios import (
     build_xray_transparency_object,
 )
 from repro.scenarios._textgen import paragraphs
-from repro.server import Archiver
+from repro.server import Archiver, CachingArchiver
 from repro.storage.cache import LRUCache
 from repro.workstation.station import Workstation
 from repro.workstation.stats import summarize
@@ -78,7 +78,9 @@ class TestCacheSizeSweep:
     def test_hit_rate_vs_budget(self, archiver_and_ids, budget_objects, results):
         base, ids = archiver_and_ids
         object_size = base.record(ids[0]).extent.length
-        cached = Archiver(cache=LRUCache(object_size * budget_objects + 1024))
+        cached = CachingArchiver(
+            Archiver(), LRUCache(object_size * budget_objects + 1024)
+        )
         build_object_library(cached, visual_count=10, audio_count=0, seed=50)
         cache_ids = cached.object_ids()
         # Zipf-ish access: object i fetched ~ 1/(i+1) of the time.
@@ -100,7 +102,9 @@ class TestCacheSizeSweep:
         object_size = base.record(base.object_ids()[0]).extent.length
         rates = []
         for budget in (1, 4, 12):
-            cached = Archiver(cache=LRUCache(object_size * budget + 1024))
+            cached = CachingArchiver(
+                Archiver(), LRUCache(object_size * budget + 1024)
+            )
             build_object_library(cached, visual_count=10, audio_count=0, seed=60)
             ids = cached.object_ids()
             rng = np.random.default_rng(4)

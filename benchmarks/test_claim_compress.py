@@ -34,7 +34,7 @@ import pytest
 from repro.cluster import ClusterNode, ClusterRouter
 from repro.compress import is_framed
 from repro.core.manager import PresentationManager
-from repro.server import Archiver, NetworkLink
+from repro.server import Archiver, CachingArchiver, NetworkLink
 from repro.scenarios import build_object_library
 from repro.storage.cache import LRUCache
 from repro.trace import EventKind
@@ -58,10 +58,8 @@ def _write_json():
         _JSON.write_text(json.dumps(_BENCH, indent=2, sort_keys=True) + "\n")
 
 
-def _library_archiver(
-    *, compression, visual=6, audio=2, cache=None
-):
-    archiver = Archiver(cache=cache, compression=compression)
+def _library_archiver(*, compression, visual=6, audio=2):
+    archiver = Archiver(compression=compression)
     build_object_library(archiver, visual_count=visual, audio_count=audio)
     return archiver
 
@@ -135,8 +133,9 @@ def test_cold_open_service_time(results):
 
 def _hit_rate(*, compression, passes=4, visual=8):
     cache = LRUCache(CACHE_BYTES)
-    archiver = _library_archiver(
-        compression=compression, visual=visual, audio=0, cache=cache
+    archiver = CachingArchiver(
+        _library_archiver(compression=compression, visual=visual, audio=0),
+        cache,
     )
     ids = archiver.object_ids()
     for _ in range(passes):

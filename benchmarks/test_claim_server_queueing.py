@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.scenarios import build_object_library
-from repro.server import Archiver
+from repro.server import Archiver, CachingArchiver
 from repro.server.scheduler import (
     Discipline,
     poisson_requests,
@@ -126,7 +126,7 @@ def test_magnetic_device_flattens_the_curve(stored_extents, results):
 
 def test_cache_absorbs_repeated_fetches(stored_extents, results):
     archiver, _ = stored_extents
-    cached = Archiver(cache=LRUCache(50_000_000))
+    cached = CachingArchiver(Archiver(), LRUCache(50_000_000))
     build_object_library(cached, visual_count=6, audio_count=0, seed=99)
     ids = cached.object_ids()
     cold = sum(cached.fetch(object_id).service_time_s for object_id in ids)

@@ -20,8 +20,8 @@ guard catches the crash *at the node boundary*, marks the node
 survive), and raises :class:`~repro.errors.NodeDownError` — a
 ``MinosError`` the router may legitimately catch and fail over on.
 Recovery then follows the exact single-node contract:
-:meth:`recover` re-opens the archiver from surviving device bytes via
-:meth:`Archiver.reopen`.
+:meth:`recover` recovers the held stack in place from its surviving
+device bytes.
 """
 
 from __future__ import annotations
@@ -168,29 +168,17 @@ class ClusterNode:
         self._status = NodeStatus.DOWN
 
     def recover(self, metrics=None) -> RecoveryReport:
-        """Bring a DOWN node back by re-opening its surviving devices.
+        """Bring a DOWN node back by recovering its stack in place.
 
-        Exactly the single-node restart contract: the platter, journal
-        and (if any) staging cache survive a crash; all volatile state
-        is rebuilt from them via :meth:`Archiver.reopen`.  The node
-        returns UP with every sealed object intact.
+        Exactly the single-node restart contract: the platter and
+        journal survive a crash, and the held stack's own ``recover``
+        rebuilds all volatile state from them (a
+        :class:`CachingArchiver` also drops both cache tiers).  The
+        stack keeps its index configuration, compression setting and
+        span recorder.  The node returns UP with every sealed object
+        intact.
         """
-        inner = self._archiver
-        cache = None
-        if isinstance(inner, CachingArchiver):
-            cache = inner.cache
-            inner = inner.archiver
-        recovered, report = Archiver.reopen(
-            inner.disk,
-            inner.journal,
-            cache=inner.cache,
-            fault_plan=inner.fault_plan,
-            metrics=metrics,
-        )
-        if cache is not None:
-            self._archiver = CachingArchiver(recovered, cache)
-        else:
-            self._archiver = recovered
+        report = self._archiver.recover(metrics=metrics)
         self._status = NodeStatus.UP
         return report
 

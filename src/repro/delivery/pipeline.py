@@ -61,7 +61,7 @@ from repro.obs.context import current as current_span
 from repro.obs.spans import SpanContext, SpanKind as ObsSpanKind
 from repro.obs.spans import SpanRecorder
 from repro.obs.spans import SpanStatus as ObsSpanStatus
-from repro.server.archiver import Archiver, CachingArchiver
+from repro.server.archiver import Archiver
 from repro.server.frontend import ServerFrontend
 from repro.server.metrics import percentile as shared_percentile
 from repro.server.network import NetworkLink
@@ -175,7 +175,7 @@ class DeliveryReport:
 
 
 def page_extents_for(
-    archiver: Archiver | CachingArchiver, object_id: ObjectId, page_bytes: int
+    archiver: Archiver, object_id: ObjectId, page_bytes: int
 ) -> list[tuple[str, int, int]]:
     """Byte ranges of a visual object's pages, ``page_bytes`` each.
 
@@ -203,7 +203,7 @@ def _voice_piece(obj: MultimediaObject) -> tuple[str, float]:
 
 
 def build_streaming_workload(
-    archiver: Archiver | CachingArchiver,
+    archiver: Archiver,
     objects: list[MultimediaObject],
     *,
     stations: int,
@@ -297,24 +297,21 @@ class DeliveryPipeline:
     Parameters
     ----------
     archiver:
-        The object store; a :class:`CachingArchiver` is unwrapped —
-        the pipeline owns its own staging cache so each run starts
-        cold and the two policies compare fairly.
+        The object store.  The pipeline owns its own staging cache, so
+        each run starts cold and the two policies compare fairly.
     config:
         Policy and knobs.
     """
 
     def __init__(
         self,
-        archiver: Archiver | CachingArchiver,
+        archiver: Archiver,
         config: DeliveryConfig | None = None,
         *,
         obs: SpanRecorder | None = None,
     ) -> None:
         self.config = config or DeliveryConfig()
-        self._archiver = (
-            archiver.archiver if isinstance(archiver, CachingArchiver) else archiver
-        )
+        self._archiver = archiver
         self.cache = LRUCache(self.config.cache_bytes)
         self._device = DeviceTimeline(self._archiver.disk.geometry, self.cache)
         self.link = SharedLink(self.config.link)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import DeliveryError
 from repro.ids import ObjectId
-from repro.server.archiver import Archiver, CachingArchiver
+from repro.server.archiver import Archiver
 from repro.storage.blockdev import Extent
 from repro.storage.cache import LRUCache
 
@@ -74,8 +74,7 @@ class Prefetcher:
     Parameters
     ----------
     archiver:
-        Where the bytes live.  A :class:`CachingArchiver` is unwrapped
-        to its inner archiver — prefetch reads go to the raw device and
+        Where the bytes live.  Prefetch reads go to its device and
         publish *explicitly*, so cancellation can intervene between
         read and publish.
     cache:
@@ -86,16 +85,14 @@ class Prefetcher:
 
     def __init__(
         self,
-        archiver: Archiver | CachingArchiver,
+        archiver: Archiver,
         cache: LRUCache,
         *,
         depth: int = 2,
     ) -> None:
         if depth < 1:
             raise DeliveryError(f"prefetch depth must be positive: {depth}")
-        self._archiver = (
-            archiver.archiver if isinstance(archiver, CachingArchiver) else archiver
-        )
+        self._archiver = archiver
         self._cache = cache
         self._depth = depth
         self._last_page: dict[tuple[str, str], int] = {}

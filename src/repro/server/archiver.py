@@ -110,9 +110,8 @@ class Archiver:
     ----------
     disk:
         Backing device (defaults to a fresh :class:`OpticalDisk`).
-    cache:
-        Optional byte cache fronting the disk (magnetic-disk or memory
-        staging); hits skip the disk entirely.
+        Every read goes to it; :class:`CachingArchiver` is the byte
+        cache in front of an archiver.
     archive_index:
         The archive-wide symmetric content index fed at insertion time
         (a default-configured one is created if not given).
@@ -130,9 +129,9 @@ class Archiver:
         default-constructed ``archive_index``).
     compression:
         When true (the default), data pieces are stored as compressed
-        frames (:mod:`repro.compress`): the platter extents, the staging
-        cache, and every byte that leaves this archiver hold *stored*
-        bytes, and :meth:`decode_piece` unwraps them on the open path.
+        frames (:mod:`repro.compress`): the platter extents and every
+        byte that leaves this archiver hold *stored* bytes, and
+        :meth:`decode_piece` unwraps them on the open path.
         When false, the archive is byte-identical to the historical
         uncompressed format.
     """
@@ -140,7 +139,6 @@ class Archiver:
     def __init__(
         self,
         disk: SimulatedDisk | None = None,
-        cache: LRUCache | None = None,
         archive_index: ArchiveIndex | None = None,
         journal: Journal | None = None,
         fault_plan=None,
@@ -148,7 +146,6 @@ class Archiver:
         compression: bool = True,
     ) -> None:
         self._disk = disk or OpticalDisk()
-        self._cache = cache
         self._journal = journal if journal is not None else Journal()
         self._fault_plan = fault_plan
         self._compression = compression
@@ -195,11 +192,6 @@ class Archiver:
     def disk(self) -> SimulatedDisk:
         """The backing device."""
         return self._disk
-
-    @property
-    def cache(self) -> LRUCache | None:
-        """The optional staging cache."""
-        return self._cache
 
     @property
     def journal(self) -> Journal:
@@ -414,7 +406,6 @@ class Archiver:
         cls,
         disk: SimulatedDisk,
         journal: Journal,
-        cache: LRUCache | None = None,
         archive_index: ArchiveIndex | None = None,
         fault_plan=None,
         metrics=None,
@@ -432,7 +423,6 @@ class Archiver:
         """
         archiver = cls(
             disk=disk,
-            cache=cache,
             archive_index=archive_index,
             journal=journal,
             fault_plan=fault_plan,
@@ -489,7 +479,7 @@ class Archiver:
         """
         self._count("fetch")
         record = self.record(object_id)
-        data, service = self._read_extent(record.extent, key=f"obj/{object_id}")
+        data, service = self.read_raw(record.extent)
         descriptor, composition = unpack_archived(data)
         relative = descriptor.rebased(-record.composition_base)
         return FetchResult(
@@ -528,9 +518,7 @@ class Archiver:
 
         def archiver_read(offset: int, length: int) -> bytes:
             nonlocal service
-            data, extra = self._read_extent(
-                Extent(offset, length), key=f"abs/{offset}/{length}"
-            )
+            data, extra = self.read_raw(Extent(offset, length))
             service += extra
             return data
 
@@ -639,7 +627,7 @@ class Archiver:
     def read_absolute(self, offset: int, length: int) -> tuple[bytes, float]:
         """Read an archiver-absolute byte range (shared-data pointers)."""
         self._count("read_absolute")
-        return self._read_extent(Extent(offset, length), key=f"abs/{offset}/{length}")
+        return self.read_raw(Extent(offset, length))
 
     def read_scattered(
         self, ranges: list[tuple[int, int]]
@@ -649,40 +637,16 @@ class Archiver:
         One server round-trip replaces N: ranges are coalesced and
         sorted into a minimal-seek sweep (see
         :mod:`repro.storage.scatter`) and the whole batch is served
-        under a single lock acquisition.  Ranges already staged in the
-        archiver's byte cache are served from it; only the misses go to
-        the device.  Payloads come back in request order, byte-identical
-        to piecewise :meth:`read_absolute` calls.
+        under a single lock acquisition.  Payloads come back in request
+        order, byte-identical to piecewise :meth:`read_absolute` calls.
         """
         self._count("read_scattered")
-        if not ranges:
-            return [], 0.0
-        results: list[bytes | None] = [None] * len(ranges)
-        missing: list[int] = []
-        for index, (offset, length) in enumerate(ranges):
-            if self._cache is not None:
-                cached = self._cache.get(f"abs/{offset}/{length}")
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            missing.append(index)
-        if missing:
-            payloads, service = self.read_scattered_raw(
-                [ranges[index] for index in missing]
-            )
-            for index, data in zip(missing, payloads):
-                results[index] = data
-                if self._cache is not None:
-                    offset, length = ranges[index]
-                    self._cache.put(f"abs/{offset}/{length}", data)
-        else:
-            service = 0.0
-        return results, service  # type: ignore[return-value]
+        return self.read_scattered_raw(ranges)
 
     def read_scattered_raw(
         self, ranges: list[tuple[int, int]]
     ) -> tuple[list[bytes], float]:
-        """Batch-read ranges from the device, bypassing any cache.
+        """Batch-read ranges from the device without counting a request.
 
         The planning (coalesce + sweep order) and every device read
         happen under one archiver lock acquisition, so the head moves
@@ -731,10 +695,7 @@ class Archiver:
                 f"range [{start}, {start + length}) exceeds piece "
                 f"{tag!r} of length {extent.length}"
             )
-        return self._read_extent(
-            Extent(extent.offset + start, length),
-            key=f"piece/{object_id}/{tag}/{start}/{length}",
-        )
+        return self.read_raw(Extent(extent.offset + start, length))
 
     def read_piece_rows(
         self, object_id: ObjectId, tag: str, ranges: list[tuple[int, int]]
@@ -783,25 +744,14 @@ class Archiver:
     # ------------------------------------------------------------------
 
     def read_raw(self, extent: Extent) -> tuple[bytes, float]:
-        """Read an extent from the backing device, bypassing any cache.
+        """Read an extent from the backing device.
 
-        This is the hook :class:`CachingArchiver` uses: the wrapper owns
-        the shared cache and single-flight table, so the inner read must
-        hit the device unconditionally (while still serializing head
-        movement under the archiver lock).
+        Head movement is serialized under the archiver lock.  This is
+        also the hook :class:`CachingArchiver` misses read through: the
+        wrapper owns the shared cache and single-flight table.
         """
         with self._lock:
             return self._disk.read(extent)
-
-    def _read_extent(self, extent: Extent, key: str) -> tuple[bytes, float]:
-        if self._cache is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached, 0.0
-        data, service = self.read_raw(extent)
-        if self._cache is not None:
-            self._cache.put(key, data)
-        return data, service
 
 
 class _Flight:
@@ -939,12 +889,16 @@ class CachingArchiver:
 
         The shared cache and the decoded tier may hold bytes keyed by
         pre-crash state, so both are cleared along with the inner
-        archiver's volatile state.
+        archiver's volatile state.  So is the single-flight table: a
+        leader that died mid-read never retired its flight, and a later
+        read of its key would wait on it forever.
         """
         report = self._archiver.recover(metrics=metrics)
         report.cache_entries_dropped += len(self._cache) + len(self._decoded)
         self._cache.clear()
         self._decoded.clear()
+        with self._lock:
+            self._flights.clear()
         return report
 
     def __len__(self) -> int:
@@ -1076,25 +1030,7 @@ class CachingArchiver:
         self._archiver._count("read_scattered")
         if not ranges:
             return [], 0.0
-        results: list[bytes | None] = [None] * len(ranges)
-        missing: list[int] = []
-        for index, (offset, length) in enumerate(ranges):
-            cached = self._cache.get(f"abs/{offset}/{length}")
-            if cached is not None:
-                results[index] = cached
-            else:
-                missing.append(index)
-        if missing:
-            missing_ranges = [ranges[index] for index in missing]
-            key = "scatter/" + ";".join(
-                f"{offset}+{length}" for offset, length in missing_ranges
-            )
-            payloads, service = self._read_batch(key, missing_ranges)
-            for index, data in zip(missing, payloads):
-                results[index] = data
-        else:
-            service = 0.0
-        return results, service  # type: ignore[return-value]
+        return self._read_batch(ranges)
 
     def read_piece_range(
         self, object_id: ObjectId, tag: str, start: int, length: int
@@ -1123,19 +1059,16 @@ class CachingArchiver:
     # ------------------------------------------------------------------
 
     def _read(self, key: str, extent: Extent) -> tuple[bytes, float]:
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached, 0.0
         with self._lock:
+            # One lookup per read, under the flight lock: a leader
+            # publishes to the cache before it retires its flight, so
+            # this finds the bytes, the flight, or neither (lead).
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached, 0.0
             flight = self._flights.get(key)
             leader = flight is None
             if leader:
-                # Re-check under the flight lock: a leader that finished
-                # between our cache miss and here has already published
-                # to the cache and retired its flight.
-                cached = self._cache.get(key)
-                if cached is not None:
-                    return cached, 0.0
                 flight = _Flight()
                 self._flights[key] = flight
         if not leader:
@@ -1158,7 +1091,7 @@ class CachingArchiver:
                 self._flights.pop(key, None)
             flight.event.set()
             raise
-        # Publish to the cache BEFORE retiring the flight so the re-check
+        # Publish to the cache BEFORE retiring the flight so the lookup
         # under the flight lock always finds either the flight or the
         # cached bytes — never neither (which would duplicate the read).
         self._cache.put(key, data)
@@ -1177,28 +1110,32 @@ class CachingArchiver:
         return data, service
 
     def _read_batch(
-        self, key: str, ranges: list[tuple[int, int]]
+        self, ranges: list[tuple[int, int]]
     ) -> tuple[list[bytes], float]:
-        """Single-flight scatter-gather batch over missing ranges.
+        """Single-flight scatter-gather batch over the missing ranges.
 
-        ``key`` canonically names the batch; identical concurrent
-        batches collapse onto one leader's device sweep.  Payloads are
-        published per range under the ``abs/…`` keys before the flight
-        retires, preserving the re-check invariant of :meth:`_read`.
+        Each range is looked up once, under the flight lock, as in
+        :meth:`_read`.  The missing ranges canonically name the batch,
+        so identical concurrent batches collapse onto one leader's
+        device sweep.  Payloads are published per range under the
+        ``abs/…`` keys before the flight retires, preserving the lookup
+        invariant of :meth:`_read`.
         """
         with self._lock:
+            results = [
+                self._cache.get(f"abs/{offset}/{length}")
+                for offset, length in ranges
+            ]
+            missing = [i for i, data in enumerate(results) if data is None]
+            if not missing:
+                return results, 0.0  # type: ignore[return-value]
+            wanted = [ranges[index] for index in missing]
+            key = "scatter/" + ";".join(
+                f"{offset}+{length}" for offset, length in wanted
+            )
             flight = self._flights.get(key)
             leader = flight is None
             if leader:
-                # Re-check under the flight lock: a leader that finished
-                # between our cache misses and here has published every
-                # range to the cache and retired its flight.
-                cached = [
-                    self._cache.get(f"abs/{offset}/{length}")
-                    for offset, length in ranges
-                ]
-                if all(data is not None for data in cached):
-                    return cached, 0.0  # type: ignore[return-value]
                 flight = _Flight()
                 self._flights[key] = flight
         if not leader:
@@ -1209,24 +1146,26 @@ class CachingArchiver:
                 self.flight_stats.piggybacks += 1
             assert isinstance(flight.data, list)
             self._flight_span(
-                "flight:join", key=key, ranges=len(ranges),
+                "flight:join", key=key, ranges=len(wanted),
                 links=(flight.span_id,) if flight.span_id else (),
             )
-            return list(flight.data), 0.0
+            for index, data in zip(missing, flight.data):
+                results[index] = data
+            return results, 0.0  # type: ignore[return-value]
         try:
-            payloads, service = self._archiver.read_scattered_raw(ranges)
+            payloads, service = self._archiver.read_scattered_raw(wanted)
         except BaseException as exc:
             flight.error = exc
             with self._lock:
                 self._flights.pop(key, None)
             flight.event.set()
             raise
-        for (offset, length), data in zip(ranges, payloads):
+        for (offset, length), data in zip(wanted, payloads):
             self._cache.put(f"abs/{offset}/{length}", data)
         flight.data = payloads
         flight.service_time_s = service
         lead = self._flight_span(
-            "flight:lead", key=key, ranges=len(ranges),
+            "flight:lead", key=key, ranges=len(wanted),
             service_s=round(service, 9),
         )
         if lead is not None:
@@ -1236,7 +1175,9 @@ class CachingArchiver:
         with self.flight_stats._lock:
             self.flight_stats.device_fetches += 1
         flight.event.set()
-        return payloads, service
+        for index, data in zip(missing, payloads):
+            results[index] = data
+        return results, service  # type: ignore[return-value]
 
 
 def _all_archiver(descriptor: Descriptor) -> Descriptor:

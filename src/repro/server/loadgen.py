@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import ArchiverError, ServerBusyError
 from repro.ids import ObjectId
-from repro.server.archiver import Archiver, CachingArchiver
+from repro.server.archiver import Archiver
 from repro.server.frontend import ServerFrontend
 from repro.server.metrics import ServerMetrics
 from repro.server.metrics import percentile as shared_percentile
@@ -61,6 +61,9 @@ class LoadReport:
     device_busy_s: float = 0.0
     device_reads: int = 0
     cache_hits: int = 0
+    #: Virtual-time replays only; a live frontend's joins are counted
+    #: in its :class:`~repro.server.archiver.CachingArchiver`'s
+    #: ``flight_stats``.
     piggybacks: int = 0
     rejected: int = 0
     failed_reads: int = 0
@@ -163,7 +166,7 @@ def station_subset(
 
 
 def replay_virtual(
-    archiver: Archiver | CachingArchiver,
+    archiver: Archiver,
     schedule: list[LoadRequest],
     *,
     cache_bytes: int | None = None,
@@ -248,7 +251,4 @@ def replay_threaded(
         thread.join(timeout=timeout_s)
     report.device_busy_s = disk.stats.busy_time_s - busy_before
     report.device_reads = disk.stats.reads - reads_before
-    if isinstance(frontend.archiver, CachingArchiver):
-        flights = frontend.archiver.flight_stats.snapshot()
-        report.piggybacks = flights.piggybacks
     return report

@@ -4,9 +4,10 @@
 things: the bytes on the optical platter and the journal on the
 magnetic disk (see :mod:`repro.storage.journal`).  Everything volatile
 — record tables, recognition side tables, version tokens, the content
-indexes, the staging cache — is discarded and reconstructed, so the
-outcome is identical whether the process died at the first or the last
-instruction of a commit protocol.
+indexes — is discarded and reconstructed (``CachingArchiver.recover()``
+also drops its cache tiers), so the outcome is identical whether the
+process died at the first or the last instruction of a commit
+protocol.
 
 The decision procedure per journaled transaction:
 
@@ -184,9 +185,7 @@ def recover_archiver(
     report = RecoveryReport()
 
     # ------------------------------------------------------------------
-    # 1. Discard everything volatile.  A crash wiped main memory; the
-    #    staging cache must never serve bytes the recovered descriptors
-    #    do not own, so it is dropped wholesale.
+    # 1. Discard everything volatile.  A crash wiped main memory.
     # ------------------------------------------------------------------
     with archiver._lock:
         archiver._records.clear()
@@ -195,9 +194,6 @@ def recover_archiver(
         archiver.index = ContentIndex()
         report.orphan_index_segments = archiver.archive_index.drop_orphans()
         archiver.archive_index.reset()
-        if archiver._cache is not None:
-            report.cache_entries_dropped = len(archiver._cache)
-            archiver._cache.clear()
 
         # --------------------------------------------------------------
         # 2. Replay the journal in txid order.  A recognition always

@@ -6,8 +6,9 @@ the real cluster to the model's sandwich invariant — acknowledged
 history must be fully served, actual state must not exceed attempted
 history — plus the structural invariants no history can excuse:
 journal/extent tiling, WORM platter growth, index ≡ scan-oracle
-equivalence, cache ownership, version-token monotonicity, and
-one-connected-tree span attribution.
+equivalence, cache ownership and freshness (both tiers of each node's
+:class:`~repro.server.archiver.CachingArchiver`), version-token
+monotonicity, and one-connected-tree span attribution.
 
 Checks are ordered cheapest-global first, then per-node; the first
 violation wins, because after one broken invariant the rest are noise
@@ -144,7 +145,8 @@ def _check_nodes(world, step_index: int) -> Violation | None:
 
 
 def _check_node(world, node, step_index: int) -> Violation | None:
-    archiver = node.archiver
+    front = node.archiver
+    archiver = front.archiver
     model = world.model
 
     # Tiling: every allocated platter byte is owned by a live object or
@@ -179,7 +181,7 @@ def _check_node(world, node, step_index: int) -> Violation | None:
                 step_index,
                 node_id=node.node_id,
             )
-        obj, _ = archiver.fetch_object(object_id)
+        obj, _ = front.fetch_object(object_id)
         units = object_token_units(obj)
         units_by_oid[object_id] = units
         expected = model.expected_channel_terms(object_id)
@@ -225,7 +227,7 @@ def _check_node(world, node, step_index: int) -> Violation | None:
 
     # Index ≡ scan oracle ≡ model units, per channel, over the full
     # query battery (terms, AND/OR/NOT, phrases).
-    interface = QueryInterface(archiver)
+    interface = QueryInterface(front)
     for query in QUERY_BATTERY:
         plan = parse_query(query)
         for channel in _CHECK_CHANNELS:
@@ -244,41 +246,42 @@ def _check_node(world, node, step_index: int) -> Violation | None:
                     node_id=node.node_id,
                 )
 
-    return _check_cache(node, step_index)
+    stale = stale_cache_entry(front)
+    if stale is not None:
+        return Violation("cache", stale, step_index, node_id=node.node_id)
+    return None
 
 
-def _check_cache(node, step_index: int) -> Violation | None:
-    """Every ``abs/…`` cache entry is owned and byte-identical."""
-    archiver = node.archiver
-    cache = archiver.cache
-    if cache is None:
-        return None
+def stale_cache_entry(front) -> str | None:
+    """Why an ``abs/…`` entry of a ``CachingArchiver`` is stale, or None.
+
+    Each entry of either tier must lie inside a live object's extent
+    and hold what the platter holds at the range it is keyed by: the
+    staging cache the stored bytes, the decoded tier
+    ``decode_piece`` of them.
+    """
+    archiver = front.archiver
     owned = [
         archiver.record(object_id).extent
         for object_id in archiver.object_ids()
     ]
-    for key in cache.keys():
-        if not key.startswith("abs/"):
-            continue
-        _, offset, length = key.split("/")
-        offset, length = int(offset), int(length)
-        if not any(
-            extent.offset <= offset and offset + length <= extent.end
-            for extent in owned
-        ):
-            return Violation(
-                "cache",
-                f"cache entry {key} not owned by any live object",
-                step_index,
-                node_id=node.node_id,
-            )
-        if cache.get(key) != archiver.read_raw(Extent(offset, length))[0]:
-            return Violation(
-                "cache",
-                f"cache entry {key} diverges from the platter",
-                step_index,
-                node_id=node.node_id,
-            )
+    for tier, cache, decode in (
+        ("cache", front.cache, None),
+        ("decoded", front.decoded_pieces, archiver.decode_piece),
+    ):
+        for key in cache.keys():
+            if not key.startswith("abs/"):
+                continue
+            _, offset, length = key.split("/")
+            extent = Extent(int(offset), int(length))
+            if not any(
+                held.offset <= extent.offset and extent.end <= held.end
+                for held in owned
+            ):
+                return f"{tier} entry {key} not owned by any live object"
+            platter = archiver.read_raw(extent)[0]
+            if cache.get(key) != (decode(platter) if decode else platter):
+                return f"{tier} entry {key} diverges from the platter"
     return None
 
 

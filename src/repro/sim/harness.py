@@ -2,8 +2,9 @@
 
 One :class:`SimWorld` is a complete MINOS deployment in miniature: a
 replicated cluster of full archiver stacks (optical platter behind a
-:class:`~repro.faults.FaultyDevice`, journal, staging cache, sharded
-archive index — each node consulting its own :class:`FaultPlan`), a
+:class:`~repro.faults.FaultyDevice`, journal and sharded archive index,
+fronted by a :class:`~repro.server.archiver.CachingArchiver` — each
+node consulting its own :class:`FaultPlan`), a
 :class:`~repro.cluster.router.ClusterRouter` with quorum writes and
 failover reads, a :class:`~repro.cluster.rebalance.Rebalancer`, one
 shared :class:`~repro.obs.spans.SpanRecorder`, and one
@@ -54,7 +55,7 @@ from repro.ids import IdGenerator
 from repro.index import ArchiveIndex, BOTH, TEXT, VOICE
 from repro.obs import context as obs_context
 from repro.obs.spans import SpanRecorder
-from repro.server import Archiver, QueryInterface
+from repro.server import Archiver, CachingArchiver, QueryInterface
 from repro.sim.checker import check_world
 from repro.sim.model import ModelArchive, ObjectSpec, Violation
 from repro.sim.schedule import ChaosSchedule, SimStep
@@ -195,16 +196,18 @@ class SimWorld:
             journal: Journal = _AmnesicJournal()
         else:
             journal = Journal()
-        archiver = Archiver(
-            disk=disk,
-            cache=LRUCache(self.config.cache_bytes, fault_plan=plan),
-            archive_index=ArchiveIndex(
-                n_shards=self.config.n_shards,
-                memtable_budget_bytes=self.config.memtable_budget_bytes,
+        archiver = CachingArchiver(
+            Archiver(
+                disk=disk,
+                archive_index=ArchiveIndex(
+                    n_shards=self.config.n_shards,
+                    memtable_budget_bytes=self.config.memtable_budget_bytes,
+                    fault_plan=plan,
+                ),
+                journal=journal,
                 fault_plan=plan,
             ),
-            journal=journal,
-            fault_plan=plan,
+            LRUCache(self.config.cache_bytes, fault_plan=plan),
         )
         node = ClusterNode(node_id, archiver, fault_plan=plan)
         self.nodes_by_id[node_id] = node

@@ -1,8 +1,9 @@
 """Shared harness for fault-injection and crash-recovery tests.
 
 A bundle is one archive under test: an optical platter behind a
-:class:`FaultyDevice`, a journal, a staging cache, and a small-budget
-archive index, all consulting a single :class:`FaultPlan`.  The
+:class:`FaultyDevice`, a journal and a small-budget archive index,
+fronted by a :class:`CachingArchiver` and its staging cache, all
+consulting a single :class:`FaultPlan`.  The
 canonical workload (:func:`run_workload`) exercises every registered
 fault site — stores, flushes, reads, idle recognition, compaction — and
 records which operations were *acknowledged* (returned to the caller),
@@ -16,7 +17,8 @@ device bytes alone and checks the recovery invariants:
 * every acknowledged recognition searchable on the voice channel;
 * index answers identical to the ``use_index=False`` scan oracle;
 * no orphan index segments;
-* the staging cache holds only bytes owned by recovered objects.
+* both cache tiers hold only bytes owned by recovered objects, equal
+  to the platter's (decoded, for the decoded tier).
 """
 
 from __future__ import annotations
@@ -35,9 +37,14 @@ from repro.index import BOTH, TEXT, VOICE, ArchiveIndex
 from repro.objects import DrivingMode, MultimediaObject, PresentationSpec
 from repro.objects.parts import TextSegment, VoiceSegment
 from repro.objects.presentation import TextFlow
-from repro.server import Archiver, IdleRecognizer, QueryInterface
+from repro.server import (
+    Archiver,
+    CachingArchiver,
+    IdleRecognizer,
+    QueryInterface,
+)
 from repro.server.recovery import RecoveryReport
-from repro.storage.blockdev import Extent
+from repro.sim.checker import stale_cache_entry
 from repro.storage.cache import LRUCache
 from repro.storage.journal import Journal
 from repro.storage.optical import OpticalDisk
@@ -126,7 +133,7 @@ class ArchiveBundle:
     disk: FaultyDevice
     journal: Journal
     cache: LRUCache
-    archiver: Archiver
+    archiver: CachingArchiver
     generator: IdGenerator
     #: Stores that returned to the caller: object id → indexed terms.
     acked_stores: dict[ObjectId, set[str]] = field(default_factory=dict)
@@ -144,12 +151,11 @@ def build_bundle(plan: FaultPlan | None = None, *, seed: int = 0) -> ArchiveBund
     index = ArchiveIndex(
         n_shards=2, memtable_budget_bytes=256, fault_plan=plan
     )
-    archiver = Archiver(
-        disk=disk,
-        cache=cache,
-        archive_index=index,
-        journal=journal,
-        fault_plan=plan,
+    archiver = CachingArchiver(
+        Archiver(
+            disk=disk, archive_index=index, journal=journal, fault_plan=plan
+        ),
+        cache,
     )
     return ArchiveBundle(
         plan=plan,
@@ -236,38 +242,20 @@ def assert_index_matches_scan(archiver) -> None:
             )
 
 
-def assert_cache_owned(archiver: Archiver) -> None:
-    """Every ``abs/…`` cache entry maps to bytes owned by a live object."""
-    cache = archiver.cache
-    if cache is None:
-        return
-    owned = [
-        archiver.record(object_id).extent
-        for object_id in archiver.object_ids()
-    ]
-    for key in cache.keys():
-        if not key.startswith("abs/"):
-            continue
-        _, offset, length = key.split("/")
-        offset, length = int(offset), int(length)
-        assert any(
-            extent.offset <= offset and offset + length <= extent.end
-            for extent in owned
-        ), f"cache entry {key} is not owned by any recovered object"
-        data = cache.get(key)
-        platter, _ = archiver.read_raw(Extent(offset, length))
-        assert data == platter, f"cache entry {key} diverges from platter"
+def assert_cache_owned(archiver: CachingArchiver) -> None:
+    """Every ``abs/…`` entry of both tiers is owned and platter-equal."""
+    stale = stale_cache_entry(archiver)
+    assert stale is None, stale
 
 
 def reopen_and_verify(
     bundle: ArchiveBundle,
-) -> tuple[Archiver, RecoveryReport]:
+) -> tuple[CachingArchiver, RecoveryReport]:
     """Re-open the archive from device bytes alone and check invariants."""
-    archiver, report = Archiver.reopen(
-        bundle.disk.inner,
-        Journal(bundle.journal.device),
-        cache=LRUCache(1 << 16),
+    reopened, report = Archiver.reopen(
+        bundle.disk.inner, Journal(bundle.journal.device)
     )
+    archiver = CachingArchiver(reopened, LRUCache(1 << 16))
     # Tiling: owned + dead extents cover the platter exactly.
     assert report.unaccounted_bytes == 0
     assert archiver.archive_index.orphan_segments == 0
@@ -284,7 +272,7 @@ def reopen_and_verify(
         assert object_id in archiver, f"acked store {object_id} lost"
         obj, _ = archiver.fetch_object(object_id)
         assert obj.object_id == object_id
-        platter, _ = archiver.read_raw(archiver.record(object_id).extent)
+        platter, _ = reopened.read_raw(archiver.record(object_id).extent)
         assert zlib.crc32(platter) == journaled[str(object_id)]
     for object_id, terms in bundle.acked_recognitions.items():
         for term in terms:
@@ -293,12 +281,12 @@ def reopen_and_verify(
             ), f"acked recognition term {term!r} of {object_id} lost"
     # Symmetry: the rebuilt index agrees with the scan oracle.
     assert_index_matches_scan(archiver)
-    # The cache serves only owned bytes (recovery reads repopulate it).
+    # Both tiers serve only owned bytes (the fetches above filled them).
     assert_cache_owned(archiver)
     return archiver, report
 
 
-def verify_recover_idempotent(archiver: Archiver) -> None:
+def verify_recover_idempotent(archiver: CachingArchiver) -> None:
     """A second recover() must land on the same state."""
     before = set(archiver.object_ids())
     report = archiver.recover()

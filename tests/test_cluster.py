@@ -10,6 +10,7 @@ deterministic cluster replay, and join/leave/catch-up rebalancing.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import pytest
 
@@ -34,6 +35,8 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.ids import IdGenerator
+from repro.index import ArchiveIndex
+from repro.obs import SpanRecorder
 from repro.scenarios import build_object_library
 from repro.server import Archiver, CachingArchiver
 from repro.server.loadgen import build_schedule
@@ -171,6 +174,71 @@ class TestClusterNode:
         assert report.objects_recovered == 1
         assert obj.object_id in node
         node.serve("fetch", obj.object_id)
+
+    def test_recover_keeps_the_stack_and_drops_both_tiers(self):
+        # Recovery is in place: the recorder, the index configuration
+        # and the compression setting survive, and both cache tiers,
+        # which may hold pre-crash bytes, are dropped and counted.
+        recorder = SpanRecorder()
+        nodes = [
+            ClusterNode(
+                i,
+                archiver=CachingArchiver(
+                    Archiver(
+                        archive_index=ArchiveIndex(n_shards=3),
+                        compression=False,
+                    ),
+                    LRUCache(1 << 20),
+                ),
+            )
+            for i in range(2)
+        ]
+        router = ClusterRouter(nodes, replication=2, obs=recorder)
+        obj = make_text_object(IdGenerator("in-place"), [["alpha"], ["beta"]])
+        router.store(obj)
+        node, front = nodes[0], nodes[0].archiver
+        front.fetch_object(obj.object_id)
+        held = len(front.cache) + len(front.decoded_pieces)
+        assert len(front.cache) > 0 and len(front.decoded_pieces) > 0
+        node.mark_down()
+        report = node.recover()
+        assert node.status is NodeStatus.UP
+        assert node.archiver.obs is recorder
+        assert node.archiver.archive_index.shard_count == 3
+        assert node.archiver.archiver.compression is False
+        assert len(node.archiver.cache) == len(node.archiver.decoded_pieces) == 0
+        assert report.cache_entries_dropped == held
+        assert node.archiver is front
+
+    def test_recover_retires_a_flight_the_crash_left_open(self):
+        # A crash while the leader publishes to the staging cache kills
+        # the read before it retires its flight; the recovered node
+        # must still serve that key.
+        plan = FaultPlan()
+        node = ClusterNode(
+            0,
+            archiver=CachingArchiver(
+                Archiver(), LRUCache(1 << 20, fault_plan=plan)
+            ),
+        )
+        obj = make_text_object(IdGenerator("flight"), [["alpha"]])
+        node.store(obj)
+        location = node.archiver.record(obj.object_id).descriptor.locations[0]
+        plan.arm("cache.put", "crash")
+        with pytest.raises(NodeDownError):
+            node.serve("read_absolute", location.offset, location.length)
+        node.recover()
+        served = []
+        reader = threading.Thread(
+            target=lambda: served.append(
+                node.serve("read_absolute", location.offset, location.length)
+            ),
+            daemon=True,
+        )
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert len(served[0][0]) == location.length
 
     def test_unknown_op_rejected(self):
         node = ClusterNode(0)

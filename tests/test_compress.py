@@ -405,7 +405,7 @@ class TestArchiverIntegration:
 
     def test_cache_holds_stored_bytes(self, generator):
         cache = LRUCache(10_000_000)
-        archiver = Archiver(cache=cache)
+        archiver = CachingArchiver(Archiver(), cache)
         obj = _visual_object(generator)
         archiver.store(obj)
         archiver.fetch_object(obj.object_id)

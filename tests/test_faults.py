@@ -364,14 +364,12 @@ class TestRecoveryReporting:
         exc = run_workload_catching(bundle)
         assert isinstance(exc, SimulatedCrash)
         from repro.server import Archiver
-        from repro.storage.cache import LRUCache
         from repro.storage.journal import Journal as _Journal
 
         metrics = ServerMetrics()
         archiver, report = Archiver.reopen(
             bundle.disk.inner,
             _Journal(bundle.journal.device),
-            cache=LRUCache(1 << 16),
             metrics=metrics,
         )
         # The crash hit after the platter write: evidence says complete,

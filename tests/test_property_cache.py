@@ -209,7 +209,7 @@ def test_prefetched_ranges_hit_in_cache_stats(visual_library):
     archiver, visual = visual_library
     cache = LRUCache(4_000_000)
     caching = CachingArchiver(archiver, cache)
-    prefetcher = Prefetcher(caching, cache, depth=2)
+    prefetcher = Prefetcher(archiver, cache, depth=2)
     obj = visual[0]
     extents = page_extents_for(archiver, obj.object_id, 256)
     assert len(extents) >= 3

@@ -236,7 +236,7 @@ class TestPartialReads:
 
 class TestCacheIntegration:
     def test_cache_hit_is_free(self, generator):
-        archiver = Archiver(cache=LRUCache(10_000_000))
+        archiver = CachingArchiver(Archiver(), LRUCache(10_000_000))
         obj = _simple_object(generator)
         archiver.store(obj)
         _, first = archiver.fetch(obj.object_id), None
@@ -250,6 +250,33 @@ class TestCacheIntegration:
         archiver.fetch(obj.object_id)
         result = archiver.fetch(obj.object_id)
         assert result.service_time_s > 0
+
+    def test_each_lookup_counts_once(self, generator):
+        cache = LRUCache(10_000_000)
+        caching = CachingArchiver(Archiver(), cache)
+        ranges = []
+        for topic in ("alpha", "beta"):
+            obj = _simple_object(generator, topic)
+            caching.store(obj)
+            ranges += [
+                (location.offset, location.length)
+                for location in caching.record(obj.object_id).descriptor.locations
+            ]
+        single, pair = ranges[0], ranges[1:3]
+
+        def counts():
+            stats = cache.stats.snapshot()
+            return stats.hits, stats.misses
+
+        caching.read_absolute(*single)
+        assert counts() == (0, 1)
+        caching.read_scattered(pair)
+        assert counts() == (0, 3)
+        caching.read_absolute(*single)
+        caching.read_scattered(pair)
+        assert counts() == (3, 3)
+        caching.read_scattered([single, ranges[3]])
+        assert counts() == (4, 4)
 
 
 def _counting_decodes(monkeypatch, archiver):

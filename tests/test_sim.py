@@ -19,12 +19,14 @@ from repro.sim import (
     ObjectSpec,
     SimConfig,
     SimStep,
+    SimWorld,
     load_repro,
     replay_repro,
     run_sim,
     save_repro,
     shrink,
 )
+from repro.sim.checker import check_world
 
 pytestmark = pytest.mark.faults
 
@@ -177,6 +179,33 @@ class TestCleanRuns:
     def test_shrink_returns_none_for_passing_schedule(self):
         schedule = ChaosSchedule.generate(0, n_steps=15)
         assert shrink(schedule.steps, SimConfig(seed=0)) is None
+
+    def test_stale_decoded_entry_is_a_cache_violation(self):
+        # What a missed invalidation of the decoded tier would leave
+        # behind.  A voice piece's samples carry no terms, so no check
+        # that runs before the cache check sees the damage.
+        schedule = ChaosSchedule.generate(1, n_steps=40)
+        world = SimWorld(SimConfig(seed=1))
+        for index, step in enumerate(schedule):
+            assert world.apply(index, step) is None
+        assert world.quiesce(len(schedule.steps)) is None
+        node, key = next(
+            (node, f"abs/{location.offset}/{location.length}")
+            for _, node in sorted(world.router.nodes.items())
+            for object_id in node.object_ids()
+            for location in node.archiver.record(object_id).descriptor.locations
+            if location.tag.startswith("voice/")
+            and f"abs/{location.offset}/{location.length}"
+            in node.archiver.decoded_pieces
+        )
+        tier = node.archiver.decoded_pieces
+        data = tier.get(key)
+        tier.put(key, bytes([data[0] ^ 0xFF]) + data[1:])
+        violation = check_world(world, len(schedule.steps))
+        assert violation is not None
+        assert violation.invariant == "cache"
+        assert violation.node_id == node.node_id
+        assert key in violation.detail
 
     @pytest.mark.slow
     def test_medium_sweep_is_clean(self):
