@@ -118,28 +118,24 @@ def recording_to_dict(
     }
 
 
-def recording_from_dict(
-    payload: dict[str, Any], source: BlobSource, *, lazy: bool = False
-) -> Recording:
-    """Decode a recording from its metadata and blob.
+def recording_from_dict(payload: dict[str, Any], source: BlobSource) -> Recording:
+    """Decode a recording from its metadata and blob, lazily.
 
-    With ``lazy=True`` the companded bytes are kept as-is and mu-law
-    expansion is deferred to the first :attr:`Recording.samples` access
-    (first playback) — the blob is still *read* through ``source`` now,
-    so storage accounting is unchanged; only the decode is deferred.
+    The companded bytes are kept as-is and mu-law expansion waits for
+    the first :attr:`Recording.samples` access (a playback, a re-store,
+    an edit); duration and size come from the byte count.  The blob is
+    still *read* through ``source`` now, so storage accounting is
+    unchanged; only the decode is deferred.
     """
-    annotations = dict(
+    return Recording(
+        encoded=source(payload["tag"]),
+        decoder=mu_law_decode,
         sample_rate=payload["sample_rate"],
         speaker=payload.get("speaker", "unknown"),
         words=[TimedWord(w, s, e) for w, s, e in payload.get("words", [])],
         sentence_ends=list(payload.get("sentence_ends", [])),
         paragraph_ends=list(payload.get("paragraph_ends", [])),
     )
-    if lazy:
-        return Recording(
-            encoded=source(payload["tag"]), decoder=mu_law_decode, **annotations
-        )
-    return Recording(samples=mu_law_decode(source(payload["tag"])), **annotations)
 
 
 # ----------------------------------------------------------------------
@@ -580,15 +576,14 @@ def voice_segment_from_dict(
 ) -> VoiceSegment:
     """Decode a voice segment.
 
-    Segment waveforms decode lazily: browsing menus, audio paging and
-    duration accounting only need the annotation metadata and the
-    byte count, so the mu-law expansion waits for the first playback
-    (messages and labels, which play immediately on anchor entry,
-    stay eager).
+    Like every recording, the waveform decodes lazily: browsing menus,
+    audio paging and duration accounting only need the annotation
+    metadata and the byte count, so the mu-law expansion waits for the
+    first playback.
     """
     return VoiceSegment(
         segment_id=SegmentId(payload["segment_id"]),
-        recording=recording_from_dict(payload["recording"], source, lazy=True),
+        recording=recording_from_dict(payload["recording"], source),
         logical_index=logical_index_from_list(payload.get("logical", [])),
         utterances=[
             RecognizedUtterance(term, time)

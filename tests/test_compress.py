@@ -322,6 +322,13 @@ class TestDecodeBounds:
         assert len(frame) == 19
         assert _rejected_with_peak(frame) < 1 << 20
 
+    def test_rle8_runs_rejected_before_allocation(self):
+        # 32 KiB of 128-byte run chunks (81 00), which would expand to
+        # 2 MiB, declared as a 16-byte piece.  Every chunk is two bytes,
+        # so the walk jumps over all but the first few controls.
+        frame = _frame(RLE8, 16, b"\x81\x00" * (16 << 10))
+        assert _rejected_with_peak(frame) < 1 << 20
+
     def test_deflate_bomb_rejected_before_allocation(self):
         # ~65 KB of deflate that inflates to 64 MiB, declared as 16 bytes.
         deflater = zlib.compressobj(9)

@@ -7,16 +7,20 @@ at identical bytes shipped and no more simulated seek time; (2) a warm
 re-open is served from the workstation's decoded-object cache with
 zero server requests and zero bytes shipped, and is invalidated by
 idle-time recognition updates rather than serving stale utterances;
-(3) voice waveforms ship companded and expand at first playback, never
-at open time.
+(3) every voice waveform (segments, messages and labels) ships companded
+and expands only when its samples are first read (a segment's first
+playback, a re-store), never at open time.
 """
 
 import pytest
 
 from repro.audio.recognition import RecognizedUtterance
+from repro.core.browsing import BrowseCommand
 from repro.core.manager import DecodedObjectCache, PresentationManager
 from repro.errors import BrowsingError
+from repro.formatter.builder import ObjectFormatter
 from repro.scenarios import build_big_map_object, build_object_library
+from repro.scenarios.city import build_city_walk_simulation
 from repro.server import Archiver
 from repro.trace import EventKind
 from repro.workstation.station import Workstation
@@ -295,3 +299,32 @@ class TestLazyVoiceDecode:
         detail = workstation.trace.last(EventKind.DECODE_VOICE).detail
         assert detail["segment"] == str(segment.segment_id)
         assert detail["samples"] == segment.recording.n_samples
+
+    def test_walk_messages_stay_companded_until_touched(self):
+        walk = build_city_walk_simulation()
+        archiver = Archiver()
+        archiver.store(walk)
+        workstation = Workstation()
+        session = PresentationManager(archiver, workstation).open(walk.object_id)
+        messages = session.object.voice_messages
+        assert len(messages) == 5
+        assert not any(m.recording.is_materialized for m in messages)
+        # Each step's message plays from its byte count alone.
+        for _ in range(session.page_count - 1):
+            session.execute(BrowseCommand.NEXT_PAGE)
+        played = [
+            (event.detail["message"], event.detail["duration_s"])
+            for event in workstation.trace.of_kind(EventKind.PLAY_MESSAGE)
+        ]
+        assert played == [
+            (str(m.message_id), round(m.recording.duration, 3))
+            for m in walk.voice_messages
+        ]
+        assert not any(m.recording.is_materialized for m in messages)
+        assert not workstation.trace.of_kind(EventKind.DECODE_VOICE)
+        # Re-forming the rebuilt walk expands each message on first
+        # touch and stores the same bytes as the source.
+        assert (
+            ObjectFormatter().form(session.object).composition
+            == ObjectFormatter().form(walk).composition
+        )

@@ -9,7 +9,8 @@ Over randomized rasters, waveforms and text:
 * the numpy ``rle8`` and ``dvarint`` code agrees with the loop codecs it
   replaced (``tests/codec_reference.py``): the encoders emit the same
   bytes, and the decoder returns the same bytes or fails with the same
-  error, malformed payloads included;
+  error, malformed payloads included, also on streams built from the
+  PackBits chunk grammar around the decoder's jump threshold;
 * ``dvarint_saving_bound`` never says a ``dvarint`` payload cannot pay
   when it would, so ``encode_piece``, which then skips the trial
   encode, emits the frames of the always-trial encoder it replaced.
@@ -30,6 +31,7 @@ from repro.compress import (
     maybe_decode,
 )
 from repro.compress.codecs import (
+    _JUMP_AFTER,
     DECODERS,
     ENCODERS,
     DEFLATE,
@@ -255,6 +257,95 @@ def test_rle8_decode_of_arbitrary_bytes_matches_reference(payload, raw_len):
     assert _outcome(rle8_decode, payload, raw_len) == _outcome(
         reference.rle8_decode, payload, raw_len
     )
+
+
+# Streams built from the PackBits chunk grammar, each piece with the
+# delta bytes it yields.  A two-byte chunk (a run, or a one-byte literal
+# behind control 0) keeps the next control on its parity; the walk
+# jumps once _JUMP_AFTER of them follow each other, so stretches run
+# one short of, exactly at and one past that streak, and long.  Operand
+# bytes take any value, so the other parity holds bytes 1-128 that
+# would stop a jump on the wrong parity.
+
+two_byte_chunk = st.one_of(
+    st.tuples(st.integers(129, 255), st.integers(0, 255)).map(
+        lambda chunk: (bytes(chunk), 257 - chunk[0])
+    ),
+    st.integers(0, 255).map(lambda byte: (bytes([0, byte]), 1)),
+)
+
+stretch = st.one_of(
+    st.sampled_from([_JUMP_AFTER - 1, _JUMP_AFTER, _JUMP_AFTER + 1]),
+    st.integers(2 * _JUMP_AFTER, 8 * _JUMP_AFTER),
+).flatmap(
+    lambda count: st.lists(two_byte_chunk, min_size=count, max_size=count)
+)
+
+# Parity switches: a literal of 2-128 bytes spans an odd or an even
+# number of bytes with its control, and the no-op spans one.
+literal = st.one_of(st.sampled_from([1, 2, 3, 4]), st.integers(5, 127)).flatmap(
+    lambda control: st.binary(min_size=control + 1, max_size=control + 1).map(
+        lambda body: [(bytes([control]) + body, control + 1)]
+    )
+)
+no_op = st.just([(b"\x80", 0)])
+
+chunk_streams = st.lists(
+    st.one_of(stretch, literal, no_op), min_size=1, max_size=8
+).map(
+    lambda pieces: (
+        b"".join(chunk for piece in pieces for chunk, _ in piece),
+        sum(produced for piece in pieces for _, produced in piece),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(chunk_streams, st.data())
+def test_rle8_decode_matches_reference_across_jumps(stream, data):
+    """Streaks of two-byte chunks decode as the per-control loop does."""
+    payload, produced = stream
+    # Cut the tail anywhere (inside a stretch, a literal or between
+    # them), or leave the stream whole.
+    if data.draw(st.booleans()):
+        payload = payload[: data.draw(st.integers(0, len(payload) - 1))]
+    raw_len = data.draw(
+        st.sampled_from([produced, produced + 1, max(produced - 1, 0)])
+        | st.integers(0, produced + 1)
+    )
+    assert _outcome(rle8_decode, payload, raw_len) == _outcome(
+        reference.rle8_decode, payload, raw_len
+    )
+
+
+def _two_byte(count: int) -> bytes:
+    """``count`` run chunks, each a 2-byte run of the byte 5."""
+    return b"\xff\x05" * count
+
+
+# Where a jump lands: past the payload on an even or an odd remainder,
+# on a dangling run or one-byte-literal control, on a truncated
+# literal, and across parity switches.
+JUMP_CASES = {
+    "streak-at-end": _two_byte(_JUMP_AFTER),
+    "long-streak-at-end": _two_byte(4 * _JUMP_AFTER),
+    "dangling-run": _two_byte(3 * _JUMP_AFTER) + b"\xff",
+    "dangling-one-byte-literal": _two_byte(3 * _JUMP_AFTER) + b"\x00",
+    "truncated-literal": _two_byte(3 * _JUMP_AFTER) + b"\x05\x01\x02",
+    "odd-literal-switch": _two_byte(2 * _JUMP_AFTER)
+    + b"\x01\x07\x09"
+    + _two_byte(2 * _JUMP_AFTER),
+    "no-op-switch": _two_byte(2 * _JUMP_AFTER) + b"\x80" + _two_byte(2 * _JUMP_AFTER),
+    "stops-on-other-parity": (b"\x00\x05" * 3 * _JUMP_AFTER) + b"\x02\x01\x01\x01",
+}
+
+
+@pytest.mark.parametrize("payload", JUMP_CASES.values(), ids=JUMP_CASES.keys())
+def test_rle8_decode_matches_reference_where_jumps_land(payload):
+    for raw_len in range(0, 2 * len(payload) + 2):
+        assert _outcome(rle8_decode, payload, raw_len) == _outcome(
+            reference.rle8_decode, payload, raw_len
+        )
 
 
 # ----------------------------------------------------------------------
