@@ -44,8 +44,12 @@ def mu_law_decode(data: bytes) -> np.ndarray:
 
 
 def encode_recording(recording: Recording) -> bytes:
-    """Encode a recording's waveform for archival (1 byte/sample)."""
-    return mu_law_encode(recording.samples)
+    """Encode a recording's waveform for archival (1 byte/sample).
+
+    These are the recording's kept :attr:`~Recording.codes`, so a
+    recording is companded at most once however often it is encoded.
+    """
+    return recording.codes
 
 
 def decode_recording(data: bytes, sample_rate: int, speaker: str = "unknown") -> Recording:

@@ -84,11 +84,21 @@ class Recording:
     an object open ships and holds the encoded bytes, and the expansion
     cost is paid at first *playback* (``PLAY_VOICE``), not at open time.
 
+    The stored form is :attr:`codes`, the mu-law bytes.  A lazy
+    recording that has not expanded already holds them, so a re-store
+    ships them without expanding; a materialized one compands its
+    samples on the first read and keeps the result.  Expanding a lazy
+    recording drops its codes, so a decoded copy holds one form only.
+
     Attributes
     ----------
     samples:
-        Float32 waveform in ``[-1, 1]``.  Reading this on a lazy
-        recording decodes it (and fires ``on_decode`` once).
+        Float32 waveform in ``[-1, 1]``, read-only.  Reading this on a
+        lazy recording decodes it (and fires ``on_decode`` once).  To
+        edit a waveform, assign a new array: that drops the kept codes.
+        The recording holds a read-only view of the array it was given,
+        not a copy, so a caller who keeps writing into that array must
+        not expect the codes to follow.
     sample_rate:
         Samples per second.
     words:
@@ -130,7 +140,7 @@ class Recording:
         self.on_decode = on_decode
         if samples is not None:
             self._samples: np.ndarray | None = self._coerce(samples)
-            self._encoded: bytes | None = None
+            self._encoded: bytes | None = None  # companded on first read
             self._decoder = None
         else:
             if encoded is None:
@@ -147,7 +157,11 @@ class Recording:
             raise AudioError(f"recording must be mono, got shape {samples.shape}")
         if samples.dtype != np.float32:
             samples = samples.astype(np.float32)
-        return samples
+        # A view, so the caller's array stays writable; ours is not,
+        # so the kept codes cannot go stale through ``samples[...]``.
+        view = samples.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def is_materialized(self) -> bool:
@@ -173,6 +187,23 @@ class Recording:
         self._samples = self._coerce(value)
         self._encoded = None
         self._decoder = None
+
+    @property
+    def codes(self) -> bytes:
+        """The 8-bit mu-law codes, one byte per sample.
+
+        An unexpanded lazy recording returns the bytes it was built
+        from without expanding them; otherwise the samples are
+        companded on the first read and the result is kept.  Two
+        threads reading at once may both compand: they compute equal
+        bytes and the assignment is atomic, so either result stands.
+        """
+        codes = self._encoded
+        if codes is None:
+            from repro.audio.codec import mu_law_encode
+
+            codes = self._encoded = mu_law_encode(self._samples)
+        return codes
 
     def materialize(self) -> "Recording":
         """Force the waveform to be decoded; returns self."""

@@ -17,7 +17,7 @@ from typing import Any, Callable, Protocol
 
 import numpy as np
 
-from repro.audio.codec import mu_law_decode, mu_law_encode
+from repro.audio.codec import mu_law_decode
 from repro.audio.recognition import RecognizedUtterance
 from repro.audio.signal import Recording, TimedWord
 from repro.errors import DescriptorError
@@ -106,8 +106,13 @@ def shape_from_dict(payload: dict[str, Any]):
 def recording_to_dict(
     recording: Recording, tag: str, sink: BlobSink, blob_kind: str
 ) -> dict[str, Any]:
-    """Encode a recording: waveform to a blob, annotations inline."""
-    sink.add(tag, blob_kind, mu_law_encode(recording.samples))
+    """Encode a recording: its mu-law codes to a blob, annotations inline.
+
+    The codes are the recording's kept :attr:`~Recording.codes`, so a
+    fetched recording that has not expanded ships the bytes it was
+    built from, and one stored before is not companded again.
+    """
+    sink.add(tag, blob_kind, recording.codes)
     return {
         "tag": tag,
         "sample_rate": recording.sample_rate,
@@ -122,10 +127,11 @@ def recording_from_dict(payload: dict[str, Any], source: BlobSource) -> Recordin
     """Decode a recording from its metadata and blob, lazily.
 
     The companded bytes are kept as-is and mu-law expansion waits for
-    the first :attr:`Recording.samples` access (a playback, a re-store,
-    an edit); duration and size come from the byte count.  The blob is
-    still *read* through ``source`` now, so storage accounting is
-    unchanged; only the decode is deferred.
+    the first :attr:`Recording.samples` access (a playback, an edit);
+    a re-store ships the bytes as they are.  Duration and size come
+    from the byte count.  The blob is still *read* through ``source``
+    now, so storage accounting is unchanged; only the decode is
+    deferred.
     """
     return Recording(
         encoded=source(payload["tag"]),

@@ -78,6 +78,22 @@ def office_archive():
     return archiver, obj
 
 
+@pytest.fixture
+def companding_calls(monkeypatch) -> list:
+    """Every array passed to ``repro.audio.codec.mu_law_encode``."""
+    from repro.audio import codec
+
+    calls = []
+    encode = codec.mu_law_encode
+
+    def counting(samples):
+        calls.append(samples)
+        return encode(samples)
+
+    monkeypatch.setattr(codec, "mu_law_encode", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def short_speech():
     """A small recording with two paragraphs (session-cached)."""

@@ -9,6 +9,7 @@ from repro.audio.codec import (
     mu_law_decode,
     mu_law_encode,
 )
+from repro.audio.signal import Recording, synthesize_speech
 from repro.errors import AudioError
 from tests import audio_reference as reference
 
@@ -105,3 +106,80 @@ class TestTableDecode:
         assert len(recordings) >= 5
         for recording in recordings:
             self._assert_identical(mu_law_encode(recording.samples))
+
+
+class TestKeptCodes:
+    """A recording compands at most once while it lives."""
+
+    @staticmethod
+    def _speech() -> Recording:
+        return synthesize_speech("kept codes ship as stored.", seed=5)
+
+    @staticmethod
+    def _lazy(codes: bytes) -> Recording:
+        return Recording(encoded=codes, decoder=mu_law_decode, sample_rate=8000)
+
+    def test_codes_are_the_companded_samples(self):
+        from repro.scenarios import build_object_library
+        from repro.scenarios.city import build_city_walk_simulation
+        from repro.server import Archiver
+
+        library = build_object_library(Archiver())
+        library.append(build_city_walk_simulation())
+        recordings = [
+            part.recording
+            for obj in library
+            for part in (*obj.voice_segments, *obj.voice_messages)
+        ]
+        assert len(recordings) >= 5
+        for recording in recordings:
+            assert type(recording.codes) is bytes
+            assert recording.codes == mu_law_encode(recording.samples)
+
+    def test_second_read_compands_nothing(self, companding_calls):
+        recording = self._speech()
+        codes = recording.codes
+        assert len(companding_calls) == 1
+        assert recording.codes is codes
+        assert encode_recording(recording) is codes
+        assert len(companding_calls) == 1
+
+    def test_unexpanded_lazy_recording_ships_its_source_bytes(
+        self, companding_calls
+    ):
+        source = mu_law_encode(self._speech().samples)
+        lazy = self._lazy(source)
+        assert lazy.codes is source
+        assert not lazy.is_materialized
+        assert companding_calls == []
+
+    def test_expanded_lazy_recording_compands_back_to_its_source(
+        self, companding_calls
+    ):
+        # Every byte value survives expansion and companding exactly.
+        source = bytes(range(256)) + mu_law_encode(self._speech().samples)
+        lazy = self._lazy(source).materialize()
+        codes = lazy.codes
+        assert codes == source
+        assert lazy.codes is codes
+        assert len(companding_calls) == 1
+
+    def test_samples_are_read_only(self):
+        with pytest.raises(ValueError):
+            self._speech().samples[0] = 0.5
+        with pytest.raises(ValueError):
+            self._lazy(bytes(range(256))).samples[:] = 0.0
+        # The recording keeps a view: the caller's own array stays
+        # writable.
+        waveform = np.zeros(16, dtype=np.float32)
+        Recording(samples=waveform, sample_rate=8000)
+        waveform[0] = 0.5
+
+    def test_assigning_samples_drops_the_codes(self, companding_calls):
+        recording = self._speech()
+        before = recording.codes
+        edited = np.concatenate([recording.samples, -recording.samples])
+        recording.samples = edited
+        assert len(companding_calls) == 1
+        assert recording.codes == mu_law_encode(edited) != before
+        assert len(companding_calls) == 2

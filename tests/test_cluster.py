@@ -36,6 +36,7 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.ids import IdGenerator
 from repro.index import ArchiveIndex
+from repro.objects.descriptor import DataKind
 from repro.obs import SpanRecorder
 from repro.scenarios import build_object_library
 from repro.server import Archiver, CachingArchiver
@@ -603,6 +604,56 @@ class TestRebalance:
         snap = router.metrics.snapshot()
         assert snap.migrations == report.moved
         assert snap.bytes_migrated == report.bytes_moved > 0
+
+
+def _voice_pieces(archiver, object_id) -> dict[str, bytes]:
+    """The stored bytes of an object's voice pieces, by data tag."""
+    return {
+        location.tag: archiver.read_absolute(location.offset, location.length)[0]
+        for location in archiver.record(object_id).descriptor.locations
+        if location.kind is DataKind.VOICE
+    }
+
+
+class TestKeptVoiceCodes:
+    """Replicas and migrations ship a recording's kept mu-law codes."""
+
+    def test_replicated_store_compands_each_recording_once(
+        self, companding_calls
+    ):
+        router, _ = _cluster(3)
+        library = build_object_library(router, visual_count=0, audio_count=3)
+        recordings = [
+            segment.recording for obj in library for segment in obj.voice_segments
+        ]
+        assert len(companding_calls) == len(recordings) == 3
+        for recording in recordings:
+            assert sum(c is recording.samples for c in companding_calls) == 1
+        reference = Archiver()
+        build_object_library(reference, visual_count=0, audio_count=3)
+        for obj in library:
+            expected = _voice_pieces(reference, obj.object_id)
+            assert expected
+            replicas = router.replica_set(obj.object_id)
+            assert len(replicas) == 2
+            for node_id in replicas:
+                stored = _voice_pieces(router.node(node_id).archiver, obj.object_id)
+                assert stored == expected
+
+    def test_migration_ships_the_fetched_codes(self, companding_calls):
+        (obj,) = build_object_library(Archiver(), visual_count=0, audio_count=1)
+        source, target = ClusterNode(0), ClusterNode(1)
+        source.store(obj)
+        fetched, _ = source.serve("fetch_object", obj.object_id)
+        recordings = [segment.recording for segment in fetched.voice_segments]
+        companding_calls.clear()
+        target.receive_migration(fetched)
+        assert recordings
+        assert not any(recording.is_materialized for recording in recordings)
+        assert companding_calls == []
+        shipped = _voice_pieces(target.archiver, obj.object_id)
+        assert shipped
+        assert shipped == _voice_pieces(source.archiver, obj.object_id)
 
 
 class TestRouterValidation:

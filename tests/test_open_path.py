@@ -9,7 +9,7 @@ zero server requests and zero bytes shipped, and is invalidated by
 idle-time recognition updates rather than serving stale utterances;
 (3) every voice waveform (segments, messages and labels) ships companded
 and expands only when its samples are first read (a segment's first
-playback, a re-store), never at open time.
+playback, an edit), never at open time; a re-store ships the codes.
 """
 
 import pytest
@@ -322,9 +322,10 @@ class TestLazyVoiceDecode:
         ]
         assert not any(m.recording.is_materialized for m in messages)
         assert not workstation.trace.of_kind(EventKind.DECODE_VOICE)
-        # Re-forming the rebuilt walk expands each message on first
-        # touch and stores the same bytes as the source.
+        # Re-forming the rebuilt walk ships each message's codes as
+        # fetched: nothing expands, and the bytes are the source's.
         assert (
             ObjectFormatter().form(session.object).composition
             == ObjectFormatter().form(walk).composition
         )
+        assert not any(m.recording.is_materialized for m in messages)
