@@ -13,9 +13,9 @@ Three claims:
 1. **Overhead** — the median over many cold opens of (traced open's
    wall clock / its untraced twin's, timed back to back) <= 1.05.
 2. **Attribution** — a cold open traced across workstation -> router
-   -> replica device -> codec decode yields one connected tree whose
-   critical path reproduces `open_cost_s` within 1% and attributes
-   >= 95% of it.
+   -> replica device -> workstation decode -> link yields one connected
+   tree whose critical path reproduces `open_cost_s` within 1% and
+   attributes >= 95% of it.
 3. **Round-trip** — the exported Chrome-trace JSON (the CI artifact)
    reconstructs the span list exactly.
 

@@ -15,6 +15,7 @@ image.
 
 import pytest
 
+from repro.cluster import ClusterNode, ClusterRouter
 from repro.core.manager import PresentationManager
 from repro.scenarios import build_big_map_object
 from repro.server import Archiver, NetworkLink
@@ -67,6 +68,32 @@ def test_view_bytes_scale_with_window_area(archive, window, results):
     )
     assert shipped == window * window
     assert shipped < full
+
+
+def test_cluster_open_and_views_ship_only_what_they_show(archive, results):
+    """The same claims over a 3-node R=2 cluster.
+
+    Pieces and windows are named by tag, so the replica that serves a
+    read holds the map at its own platter offsets.
+    """
+    plain, _, _ = _open(archive)
+    _, big = archive
+    router = ClusterRouter([ClusterNode(i) for i in range(3)], replication=2)
+    router.store(big)
+    manager = PresentationManager(router, Workstation(), link=NetworkLink())
+    session = manager.open(big.object_id)
+    opened = manager.bytes_shipped
+    assert opened == plain.bytes_shipped
+    assert opened * 10 < SIZE * SIZE
+    for window in (64, 128, 256, 512):
+        before = manager.bytes_shipped
+        session.define_view(x=256, y=256, width=window, height=window)
+        assert manager.bytes_shipped - before == window * window
+    results.record(
+        "C-VIEW window retrieval",
+        f"3-node R=2 cluster: open {opened:,}B shipped, as from one "
+        "archiver; each window 64..512 ships its w*w bytes",
+    )
 
 
 def test_small_window_saving_factor(archive, results):

@@ -69,10 +69,12 @@ MISSED_WRITE_ERRORS = (TransientIOError, TornWriteError, NodeDownError)
 MISSED_RECOGNITION_ERRORS = MISSED_WRITE_ERRORS + (ObjectNotFoundError,)
 
 #: Operations the router can place: the first parameter must be the
-#: object id.  (Absolute/extent reads are node-relative coordinates —
-#: the same object lives at different platter offsets on each replica —
-#: so they cannot be routed by content.)
-ROUTABLE_OPS = ("fetch", "fetch_object", "read_piece_range")
+#: object id, and pieces are named by tag.  (Absolute/extent reads are
+#: node-relative coordinates — the same object lives at different
+#: platter offsets on each replica — so they cannot be routed.)
+ROUTABLE_OPS = (
+    "fetch", "fetch_object", "read_piece_range", "read_pieces", "read_piece_rows",
+)
 
 
 class RouterFuture:
@@ -450,7 +452,7 @@ class ClusterRouter:
         op: str,
         *params,
         station: str = "ws-0",
-        arrival_s: float = 0.0,
+        arrival_s: float | None = None,
         ctx=None,
     ) -> tuple:
         """Serve one routable read with failover; ``(payload, service_s)``.
@@ -461,7 +463,8 @@ class ClusterRouter:
         attempt: failed-over attempts finish ``retried``, hedge losers
         ``hedged_loser``, and the winning attempt carries the device /
         cache leaf spans plus whatever the member archiver emitted
-        under it (codec decodes, index shard lookups).
+        under it (codec decodes, index shard lookups).  Spans start at
+        ``arrival_s``, else at the recorder's clock (a workstation's).
 
         Raises
         ------
@@ -479,6 +482,8 @@ class ClusterRouter:
         object_id = params[0]
         route = None
         if self._obs is not None:
+            if arrival_s is None:
+                arrival_s = self._obs.now()
             route = self._obs.start(
                 ctx if ctx is not None else current_span(),
                 f"route:{op}", ObsSpanKind.SERVER, arrival_s,
@@ -495,11 +500,9 @@ class ClusterRouter:
                     route.context, "cluster:read", ObsSpanKind.CLUSTER,
                     arrival_s, node=node_id, op=op,
                 )
+            bound = current_span() if attempt is None else attempt.context
             try:
-                if attempt is not None:
-                    with bind_span(attempt.context):
-                        payload, service = node.serve(op, *params)
-                else:
+                with bind_span(bound):
                     payload, service = node.serve(op, *params)
             except FAILOVER_ERRORS as error:
                 errors.append(error)
@@ -578,11 +581,9 @@ class ClusterRouter:
                     parent, "cluster:read", ObsSpanKind.CLUSTER,
                     arrival_s, node=hedge_id, op=op, hedge=True,
                 )
+            bound = current_span() if attempt is None else attempt.context
             try:
-                if attempt is not None:
-                    with bind_span(attempt.context):
-                        hedge_payload, hedge_service = node.serve(op, *params)
-                else:
+                with bind_span(bound):
                     hedge_payload, hedge_service = node.serve(op, *params)
             except FAILOVER_ERRORS as error:
                 if attempt is not None:
@@ -610,20 +611,45 @@ class ClusterRouter:
             return payload, service, order[position]
         return payload, service, order[position]
 
-    def fetch(self, object_id, *, station: str = "ws-0", arrival_s: float = 0.0):
-        """Fetch the stored form; returns a ``FetchResult``."""
-        payload, _ = self.request(
-            "fetch", object_id, station=station, arrival_s=arrival_s
-        )
-        return payload
-
     def fetch_object(
-        self, object_id, *, station: str = "ws-0", arrival_s: float = 0.0
+        self, object_id, *, station: str = "ws-0", arrival_s: float | None = None
     ):
         """Rebuild the full object; ``(MultimediaObject, service_s)``."""
         return self.request(
             "fetch_object", object_id, station=station, arrival_s=arrival_s
         )
+
+    def read_pieces(self, object_id, tags):
+        """Whole stored pieces by tag; ``(payloads, service_s)``."""
+        return self.request("read_pieces", object_id, tags)
+
+    def read_piece_rows(self, object_id, tag, ranges):
+        """Row slices of one piece; ``(rows, service_s)``."""
+        return self.request("read_piece_rows", object_id, tag, ranges)
+
+    def record(self, object_id):
+        """The storage record held by a serving replica."""
+        return self._holder(object_id).record(object_id)
+
+    def version_of(self, object_id) -> int:
+        """Version token of the object on a serving replica."""
+        return self._holder(object_id).version_of(object_id)
+
+    def recognition_for(self, object_id) -> dict:
+        """Recognition side table of the object on a serving replica."""
+        return self._holder(object_id).recognition_for(object_id)
+
+    def _holder(self, object_id):
+        """The archiver of the first replica, in ring order, that serves
+        ``object_id``; :class:`ClusterError` when none does."""
+        for node_id in self._placement.replica_set(object_id):
+            node = self._nodes[node_id]
+            try:
+                node.record(object_id)
+            except FAILOVER_ERRORS:
+                continue
+            return node.archiver
+        raise ClusterError(f"no replica of {object_id} serves it")
 
     # ------------------------------------------------------------------
     # frontend protocol (what fetch_with_retry speaks)
@@ -634,7 +660,7 @@ class ClusterRouter:
         op: str,
         *params,
         station: str = "ws-0",
-        arrival_s: float = 0.0,
+        arrival_s: float | None = None,
         ctx=None,
     ) -> RouterFuture:
         """Admit one request; returns a resolved :class:`RouterFuture`.

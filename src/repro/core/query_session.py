@@ -20,8 +20,7 @@ import enum
 
 from repro.errors import BrowsingError, QueryError
 from repro.ids import ObjectId
-from repro.server.archiver import Archiver
-from repro.server.query import MiniatureCard, QueryInterface
+from repro.server.query import MiniatureCard
 
 
 class QueryState(enum.Enum):
@@ -39,14 +38,12 @@ class QueryBrowser:
     ----------
     manager:
         A :class:`~repro.core.manager.PresentationManager` whose store
-        is an archiver.
+        keeps an archive index (:class:`BrowsingError` otherwise).
     """
 
     def __init__(self, manager) -> None:
-        if not isinstance(manager._store, Archiver):
-            raise BrowsingError("query browsing needs an archiver store")
         self._manager = manager
-        self._interface = QueryInterface(manager._store, link=manager._link)
+        self._interface = manager.query_interface()
         self._state = QueryState.SPECIFYING
         self._terms: list[str] = []
         self._criteria: dict = {}

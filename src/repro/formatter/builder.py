@@ -178,6 +178,7 @@ def rebuild_object(
     archiver_read: Callable[[int, int], bytes] | None = None,
     *,
     decoder: Callable[[bytes], bytes] | None = None,
+    recognized: dict | None = None,
 ) -> MultimediaObject:
     """Reconstruct an archived object from its stored form.
 
@@ -186,6 +187,8 @@ def rebuild_object(
     ``decoder`` maps stored piece bytes back to raw media bytes; it
     defaults to :func:`repro.compress.maybe_decode`, which unwraps
     compressed frames and passes raw pieces through untouched.
+    ``recognized`` (an archiver's idle-time side table) fills voice
+    segments stored without insertion-time utterances.
 
     Raises
     ------
@@ -224,7 +227,10 @@ def rebuild_object(
             TextSegment(segment_id=SegmentId(entry["segment_id"]), markup=markup)
         )
     for payload in extra.get("voice_segments", []):
-        obj.add_voice_segment(serialize.voice_segment_from_dict(payload, source))
+        segment = serialize.voice_segment_from_dict(payload, source)
+        if recognized and not segment.utterances:
+            segment.utterances = list(recognized.get(segment.segment_id, ()))
+        obj.add_voice_segment(segment)
     for payload in extra.get("images", []):
         obj.add_image(serialize.image_from_dict(payload, source))
     for payload in extra.get("voice_messages", []):

@@ -115,6 +115,13 @@ class IdleRecognizer:
         return report
 
     def _sweep_object(self, object_id: ObjectId, report: IdleRunReport) -> None:
+        # The stored descriptor lists each voice segment with its
+        # insertion-time utterances: with none left to recognize, skip.
+        voice = self._archiver.record(object_id).descriptor.extra.get(
+            "voice_segments", []
+        )
+        if all(payload.get("utterances") for payload in voice):
+            return
         obj, _ = self._archiver.fetch_object(object_id)
         side_table: dict[SegmentId, list[RecognizedUtterance]] = {}
         terms: set[str] = set()

@@ -372,6 +372,27 @@ class TestFailoverReads:
         fetched, _ = router.fetch_object(obj.object_id)
         assert fetched.object_id == obj.object_id
 
+    def test_object_metadata_comes_from_a_serving_replica(self, library):
+        # The presentation manager reads the record, the version token
+        # and the recognition table before the pieces; a down primary
+        # must not fail them.
+        router, nodes = _cluster(3, objs=library)
+        obj = library[0]
+        primary, secondary = router.replica_set(obj.object_id)
+        router.node(primary).mark_down()
+        record = router.record(obj.object_id)
+        assert record == router.node(secondary).archiver.record(obj.object_id)
+        assert router.version_of(obj.object_id) == 1
+        assert router.recognition_for(obj.object_id) == {}
+        tags = [location.tag for location in record.descriptor.locations]
+        pieces, _ = router.read_pieces(obj.object_id, tags)
+        assert pieces == router.node(secondary).archiver.read_pieces(
+            obj.object_id, tags
+        )[0]
+        router.node(secondary).mark_down()
+        with pytest.raises(ClusterError):
+            router.record(obj.object_id)
+
     def test_unroutable_op_rejected(self, library):
         router, _ = _cluster(2, objs=library)
         with pytest.raises(ClusterError):

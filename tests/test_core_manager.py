@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.browsing import BrowseCommand
+from repro.cluster import ClusterNode, ClusterRouter
 from repro.core.manager import LocalStore, PresentationManager
+from repro.core.query_session import QueryBrowser
 from repro.errors import BrowsingError, ObjectNotFoundError
 from repro.scenarios import (
     build_big_map_object,
@@ -11,6 +13,8 @@ from repro.scenarios import (
     build_subway_map_with_relevants,
 )
 from repro.server import Archiver
+from repro.server.archiver import CachingArchiver
+from repro.storage.cache import LRUCache
 from repro.trace import EventKind
 from repro.workstation.station import Workstation
 
@@ -182,3 +186,31 @@ class TestMiniatureBrowsing:
         manager = PresentationManager(LocalStore(), Workstation())
         with pytest.raises(BrowsingError):
             list(manager.browse_by_content(terms=["x"]))
+
+    def test_caching_front_queries_like_its_archiver(self):
+        def cards(store):
+            build_object_library(store, visual_count=4, audio_count=2)
+            manager = PresentationManager(store, Workstation())
+            return [
+                (
+                    card.object_id, card.driving_mode, card.summary,
+                    card.nbytes, card.available_at_s,
+                    card.miniature and card.miniature.bitmap.pixels.tobytes(),
+                    card.voice_sample and card.voice_sample.codes,
+                )
+                for card in manager.browse_by_content(terms=["budget"])
+            ]
+
+        plain = cards(Archiver())
+        assert {mode for _, mode, *_ in plain} == {"visual", "audio"}
+        assert cards(CachingArchiver(Archiver(), LRUCache(8 << 20))) == plain
+
+    def test_cluster_cannot_query(self):
+        # A cluster's archive index is split over its nodes; a
+        # cluster-wide fan-out is not built.
+        router = ClusterRouter([ClusterNode(0)], replication=1)
+        manager = PresentationManager(router, Workstation())
+        with pytest.raises(BrowsingError):
+            list(manager.browse_by_content(terms=["x"]))
+        with pytest.raises(BrowsingError):
+            QueryBrowser(manager)

@@ -7,7 +7,8 @@ from repro.audio.signal import synthesize_speech
 from repro.core.manager import PresentationManager
 from repro.ids import IdGenerator
 from repro.objects import DrivingMode, MultimediaObject, PresentationSpec
-from repro.objects.parts import VoiceSegment
+from repro.objects.parts import TextSegment, VoiceSegment
+from repro.objects.presentation import TextFlow
 from repro.server import Archiver, IdleRecognizer, QueryInterface
 from repro.workstation.station import Workstation
 
@@ -129,6 +130,62 @@ class TestIdleRecognizer:
         report = worker.run()
         assert report.objects_scanned == 1
         assert report.segments_recognized == 0  # already recognized
+
+
+    def test_sweep_fetches_only_objects_with_unrecognized_voice(
+        self, generator
+    ):
+        recognizer = VocabularyRecognizer(
+            ["budget", "fracture"], miss_rate=0.0, confusion_rate=0.0
+        )
+
+        def memo(voice=None, utterances=()):
+            obj = MultimediaObject(
+                object_id=generator.object_id(),
+                driving_mode=DrivingMode.VISUAL,
+            )
+            text = TextSegment(
+                segment_id=generator.segment_id(), markup="A budget memo."
+            )
+            obj.add_text_segment(text)
+            audio_order = []
+            if voice is not None:
+                segment = VoiceSegment(
+                    segment_id=generator.segment_id(),
+                    recording=synthesize_speech(voice, seed=94),
+                    utterances=list(utterances),
+                )
+                obj.add_voice_segment(segment)
+                audio_order.append(segment.segment_id)
+            obj.presentation = PresentationSpec(
+                items=[TextFlow(text.segment_id)], audio_order=audio_order
+            )
+            return obj.archive()
+
+        text_only = memo()
+        raw = _unrecognized_dictation(
+            generator, "urgent fracture case in the east clinic", seed=93
+        )
+        spoken = synthesize_speech("budget meeting today", seed=92)
+        recognized = memo(
+            "budget meeting today", recognizer.recognize(spoken)
+        )
+        mixed = memo("fracture follow up")
+        archiver = Archiver()
+        for obj in (text_only, raw, recognized, mixed):
+            archiver.store(obj)
+        fetched = []
+        fetch_object = archiver.fetch_object
+
+        def spy(object_id, **kwargs):
+            fetched.append(object_id)
+            return fetch_object(object_id, **kwargs)
+
+        archiver.fetch_object = spy
+        report = IdleRecognizer(archiver, recognizer).run()
+        assert fetched == [raw.object_id, mixed.object_id]
+        assert report.objects_scanned == 4
+        assert report.processed_object_ids == [raw.object_id, mixed.object_id]
 
 
 class TestFramebuffer:
